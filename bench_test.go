@@ -123,18 +123,16 @@ func BenchmarkTable3Parallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteTable3 (E18/E20/E21): the Table 3 model-checking sweep,
-// run through the concurrent suite layer, across the engine's two fast
-// paths — checkpointed pre-crash execution (on/off) and the solo-thread
-// direct-run lease (default / "-nodirect"). Race counts are identical in
-// all four modes (the equivalence contracts); the simops metric is the
-// checkpoint layer's win (snapshots remove the O(C·n) pre-crash
-// re-simulation) and the handoffs/direct_ops split is the lease's win
-// (leased operations skip the two-channel scheduler handshake). The parent
-// benchmark writes the unified BENCH_suite.json artifact — aggregate plus
-// per-benchmark breakdown per mode — so the perf trajectory is tracked
-// across changes; cmd/benchguard compares a fresh run against the
-// committed artifact in CI.
+// BenchmarkSuiteTable3 (E18/E21/E23): the Table 3 model-checking sweep,
+// run through the concurrent suite layer with checkpointed pre-crash
+// execution on and off, and with the yashme,xfd analysis stack. Race counts
+// are identical in the on and off modes (the equivalence contract); the
+// simops metric is the checkpoint layer's win (snapshots remove the O(C·n)
+// pre-crash re-simulation) and the handoffs/direct_ops split shows how much
+// of the work ran under the solo-thread lease. The parent benchmark writes
+// the unified BENCH_suite.json artifact — aggregate plus per-benchmark
+// breakdown per mode — so the perf trajectory is tracked across changes;
+// cmd/benchguard compares a fresh run against the committed artifact in CI.
 func BenchmarkSuiteTable3(b *testing.B) {
 	type benchStat struct {
 		Races            int    `json:"races"`
@@ -153,7 +151,6 @@ func BenchmarkSuiteTable3(b *testing.B) {
 	}
 	type measurement struct {
 		NsPerOp          int64                 `json:"ns_per_op"`
-		ClockIntern      bool                  `json:"clock_intern"`
 		SimulatedOps     int64                 `json:"simulated_ops"`
 		Handoffs         int64                 `json:"handoffs"`
 		DirectOps        int64                 `json:"direct_ops"`
@@ -173,23 +170,15 @@ func BenchmarkSuiteTable3(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
 		ck       engine.CheckpointMode
-		direct   engine.DirectRunMode
 		analyses []string
-		intern   engine.ClockInternMode
 	}{
-		{"on", engine.CheckpointOn, engine.DirectRunOn, nil, engine.ClockInternOn},
-		{"off", engine.CheckpointOff, engine.DirectRunOn, nil, engine.ClockInternOn},
-		{"on-nodirect", engine.CheckpointOn, engine.DirectRunOff, nil, engine.ClockInternOn},
-		{"off-nodirect", engine.CheckpointOff, engine.DirectRunOff, nil, engine.ClockInternOn},
+		{"on", engine.CheckpointOn, nil},
+		{"off", engine.CheckpointOff, nil},
 		// The stacked mode runs both detectors over the one simulation
 		// (E23): the yashme race count must not move, the xfd count is the
 		// cross-failure baseline's, and the ns/op delta is the marginal cost
 		// of the second pass.
-		{"stacked", engine.CheckpointOn, engine.DirectRunOn, []string{"yashme", "xfd"}, engine.ClockInternOn},
-		// The owned mode is the -clockintern=false escape hatch (E24): one
-		// private clock snapshot per commit, epoch fast path off. Identical
-		// results; the allocs/bytes delta against "on" is the interning win.
-		{"owned", engine.CheckpointOn, engine.DirectRunOn, nil, engine.ClockInternOff},
+		{"stacked", engine.CheckpointOn, []string{"yashme", "xfd"}},
 	} {
 		mode := mode
 		m := &measurement{Benchmarks: map[string]*benchStat{}}
@@ -204,12 +193,10 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				res = suite.Run(suite.Config{
-					Tags:        []string{workload.TagTable3},
-					Variants:    []string{suite.VariantRaces},
-					Checkpoint:  mode.ck,
-					DirectRun:   mode.direct,
-					Analyses:    mode.analyses,
-					ClockIntern: mode.intern,
+					Tags:       []string{workload.TagTable3},
+					Variants:   []string{suite.VariantRaces},
+					Checkpoint: mode.ck,
+					Analyses:   mode.analyses,
 				})
 			}
 			runtime.ReadMemStats(&after)
@@ -219,7 +206,6 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			b.ReportMetric(float64(stats.SimulatedOps), "simops")
 			b.ReportMetric(float64(stats.Handoffs), "handoffs")
 			m.NsPerOp = b.Elapsed().Nanoseconds() / int64(b.N)
-			m.ClockIntern = mode.intern == engine.ClockInternOn
 			m.SimulatedOps = stats.SimulatedOps
 			m.Handoffs = stats.Handoffs
 			m.DirectOps = stats.DirectOps
@@ -267,13 +253,11 @@ func BenchmarkSuiteTable3(b *testing.B) {
 				var bb, ba runtime.MemStats
 				runtime.ReadMemStats(&bb)
 				suite.Run(suite.Config{
-					Names:       []string{name},
-					Variants:    []string{suite.VariantRaces},
-					Checkpoint:  mode.ck,
-					DirectRun:   mode.direct,
-					Analyses:    mode.analyses,
-					ClockIntern: mode.intern,
-					Sequential:  true,
+					Names:      []string{name},
+					Variants:   []string{suite.VariantRaces},
+					Checkpoint: mode.ck,
+					Analyses:   mode.analyses,
+					Sequential: true,
 				})
 				runtime.ReadMemStats(&ba)
 				m.Benchmarks[name].AllocsPerOp = ba.Mallocs - bb.Mallocs
@@ -305,6 +289,7 @@ func BenchmarkSuiteTable3(b *testing.B) {
 // point and nothing else happens. With one thread the direct-run lease
 // eliminates the handshake entirely; with four threads it can only cover
 // the tail after three finish, so the pair brackets the lease's reach.
+// The reported handoffs/directops split shows where the operations went.
 func BenchmarkSchedulerHandoff(b *testing.B) {
 	mkProg := func(threads int) func() yashme.Program {
 		return func() yashme.Program {
@@ -328,27 +313,18 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 		}
 	}
 	for _, threads := range []int{1, 4} {
-		for _, direct := range []struct {
-			name string
-			mode engine.DirectRunMode
-		}{
-			{"direct", engine.DirectRunOn},
-			{"handshake", engine.DirectRunOff},
-		} {
-			threads, direct := threads, direct
-			b.Run("threads-"+itoa(threads)+"/"+direct.name, func(b *testing.B) {
-				b.ReportAllocs()
-				mk := mkProg(threads)
-				var handoffs, directOps int64
-				for i := 0; i < b.N; i++ {
-					res := yashme.RunOnce(mk, yashme.Options{
-						Prefix: true, DirectRun: direct.mode}, 0, yashme.PersistLatest, 1)
-					handoffs, directOps = res.Stats.Handoffs, res.Stats.DirectOps
-				}
-				b.ReportMetric(float64(handoffs), "handoffs")
-				b.ReportMetric(float64(directOps), "directops")
-			})
-		}
+		threads := threads
+		b.Run("threads-"+itoa(threads), func(b *testing.B) {
+			b.ReportAllocs()
+			mk := mkProg(threads)
+			var handoffs, directOps int64
+			for i := 0; i < b.N; i++ {
+				res := yashme.RunOnce(mk, yashme.Options{Prefix: true}, 0, yashme.PersistLatest, 1)
+				handoffs, directOps = res.Stats.Handoffs, res.Stats.DirectOps
+			}
+			b.ReportMetric(float64(handoffs), "handoffs")
+			b.ReportMetric(float64(directOps), "directops")
+		})
 	}
 }
 
@@ -380,25 +356,13 @@ func BenchmarkSoloRecovery(b *testing.B) {
 			},
 		}
 	}
-	for _, direct := range []struct {
-		name string
-		mode engine.DirectRunMode
-	}{
-		{"direct", engine.DirectRunOn},
-		{"handshake", engine.DirectRunOff},
-	} {
-		direct := direct
-		b.Run(direct.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var directOps int64
-			for i := 0; i < b.N; i++ {
-				res := yashme.Run(mk, yashme.Options{
-					Mode: yashme.ModelCheck, Prefix: true, DirectRun: direct.mode})
-				directOps = res.Stats.DirectOps
-			}
-			b.ReportMetric(float64(directOps), "directops")
-		})
+	b.ReportAllocs()
+	var directOps int64
+	for i := 0; i < b.N; i++ {
+		res := yashme.Run(mk, yashme.Options{Mode: yashme.ModelCheck, Prefix: true})
+		directOps = res.Stats.DirectOps
 	}
+	b.ReportMetric(float64(directOps), "directops")
 }
 
 // BenchmarkTable4 (E5): random-mode sweep of PMDK, Memcached, Redis

@@ -5,7 +5,7 @@
 //	go test -run xxx -bench BenchmarkSuiteTable3 .
 //	go run ./cmd/benchguard -baseline <committed>.json -fresh BENCH_suite.json
 //
-// Five checks:
+// The checks:
 //
 //   - every mode of the fresh artifact must report exactly 19 races — the
 //     paper's Table 3 row count. A drift in either direction means a
@@ -30,10 +30,9 @@
 //     mode-level number can hide one workload regressing while another
 //     improves, and allocation counts are stable enough per benchmark to
 //     gate individually;
-//   - modes running with clock interning (clock_intern in the artifact) must
-//     report epoch_hits > 0: the detector's O(1) epoch fast path going inert
-//     silently degrades every happens-before check to a vector walk
-//     (-require-epoch=false to waive);
+//   - every mode must report epoch_hits > 0: the detector's O(1) epoch fast
+//     path going inert silently degrades every happens-before check to a
+//     vector walk (-require-epoch=false to waive);
 //   - every mode of the baseline must still exist in the fresh artifact: a
 //     mode vanishing from the sweep is a coverage regression, not something
 //     to skip silently.
@@ -67,7 +66,6 @@ type benchStat struct {
 // artifact growth.
 type measurement struct {
 	NsPerOp          int64                 `json:"ns_per_op"`
-	ClockIntern      bool                  `json:"clock_intern"`
 	ClockInterned    int64                 `json:"clock_interned"`
 	EpochHits        int64                 `json:"epoch_hits"`
 	EpochMisses      int64                 `json:"epoch_misses"`
@@ -133,7 +131,7 @@ func run() error {
 	wantXFD := flag.Float64("xfd-races", 33, "exact cross-failure race count the stacked mode must report (0 = don't check)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns_per_op / allocs_per_op / bytes_per_op regression vs baseline")
 	requireDedup := flag.Bool("require-dedup", true, "checkpoint-on modes must report deduped_scenarios > 0")
-	requireEpoch := flag.Bool("require-epoch", true, "clock-interning modes must report epoch_hits > 0")
+	requireEpoch := flag.Bool("require-epoch", true, "every mode must report epoch_hits > 0")
 	flag.Parse()
 	if *baselinePath == "" {
 		return fmt.Errorf("-baseline is required")
@@ -176,10 +174,10 @@ func run() error {
 			failures = append(failures, fmt.Sprintf(
 				"mode %q: deduped_scenarios = 0; crash-image memoization is inert", name))
 		}
-		// The epoch fast path must actually fire wherever clock interning is
-		// on; zero hits means every happens-before check fell back to the
-		// component-wise vector walk.
-		if *requireEpoch && m.ClockIntern && m.EpochHits == 0 {
+		// The epoch fast path must actually fire in every mode; zero hits
+		// means every happens-before check fell back to the component-wise
+		// vector walk.
+		if *requireEpoch && m.EpochHits == 0 {
 			failures = append(failures, fmt.Sprintf(
 				"mode %q: epoch_hits = 0; the clock-arena epoch fast path is inert", name))
 		}

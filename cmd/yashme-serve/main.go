@@ -37,6 +37,14 @@ import (
 	"yashme/internal/service"
 )
 
+// Connection bounds for untrusted clients: a client gets readHeaderTimeout
+// to send its request headers and may hold an idle keep-alive connection
+// for idleTimeout. Request bodies are bounded by the handler itself.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -68,7 +76,11 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "yashme-serve: %v\n", err)
 		return 2
 	}
-	srv := &http.Server{Handler: service.NewHandler(mgr)}
+	srv := &http.Server{
+		Handler:           service.NewHandler(mgr),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Printf("yashme-serve: listening on %s (%d job workers, budget %d, cache %d MiB)\n",

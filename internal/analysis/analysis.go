@@ -57,9 +57,6 @@ type Config struct {
 	Labeler func(pmm.Addr) string
 	// Suppress lists normalized field labels whose races are annotated away.
 	Suppress []string
-	// OwnedClocks disables the core detector's clock interning (the
-	// engine's ClockInternOff escape hatch); see core.Config.OwnedClocks.
-	OwnedClocks bool
 }
 
 // Pass is one analysis riding the engine's simulation. Beyond the
@@ -164,12 +161,11 @@ func NewStack(names []string, cfg Config) (*Stack, error) {
 	s := &Stack{
 		names: append([]string(nil), names...),
 		model: core.New(core.Config{
-			Prefix:      cfg.Prefix,
-			EADR:        cfg.EADR,
-			Benchmark:   cfg.Benchmark,
-			Labeler:     cfg.Labeler,
-			Suppress:    cfg.Suppress,
-			OwnedClocks: cfg.OwnedClocks,
+			Prefix:    cfg.Prefix,
+			EADR:      cfg.EADR,
+			Benchmark: cfg.Benchmark,
+			Labeler:   cfg.Labeler,
+			Suppress:  cfg.Suppress,
 		}),
 	}
 	seen := make(map[string]bool, len(names))

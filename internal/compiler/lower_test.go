@@ -22,7 +22,7 @@ func TestLoweredTearingEndToEnd(t *testing.T) {
 	}
 
 	lp := Lower(compiled, true)
-	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 
 	// Both halves race (they are independent non-atomic stores).
 	if res.Report.Count() != 2 {
@@ -59,7 +59,7 @@ func TestUncompiledSourceSingleRace(t *testing.T) {
 		Ops:  []Op{St(0, 8, 0x1234567812345678)},
 	}}}
 	lp := Lower(source, true)
-	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 	if res.Report.Count() != 1 {
 		t.Fatalf("source program races = %d, want 1", res.Report.Count())
 	}
@@ -82,7 +82,7 @@ func TestLoweredMemsetRaces(t *testing.T) {
 		t.Fatalf("memops = %d, want 1 (coalesced memset)", compiled.CountMemOps())
 	}
 	lp := Lower(compiled, true)
-	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 	if res.Report.Count() == 0 {
 		t.Fatal("memset-compiled program reported no races")
 	}
@@ -100,7 +100,7 @@ func TestLoweredAtomicStoreSafe(t *testing.T) {
 		t.Fatal("atomic store was compiled into plain stores")
 	}
 	lp := Lower(compiled, true)
-	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 	if res.Report.Count() != 0 {
 		t.Fatalf("atomic program raced: %s", res.Report)
 	}
@@ -120,7 +120,7 @@ func TestLoweredMemcpy(t *testing.T) {
 		t.Fatalf("memops = %d, want 1 (memcpy)", compiled.CountMemOps())
 	}
 	lp := Lower(compiled, true)
-	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 	if res.Report.Count() == 0 {
 		t.Fatal("memcpy-compiled program reported no races")
 	}
@@ -155,7 +155,7 @@ func TestInventedStoreEndToEnd(t *testing.T) {
 	}
 
 	lp := Lower(Program{Name: "invent", Routines: []Routine{invented}}, true)
-	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	res := engine.Run(lp.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1})
 	if res.Report.Count() == 0 {
 		t.Fatal("invented-store program reported no races")
 	}

@@ -250,12 +250,6 @@ type Config struct {
 	// consumed by checksum validation (§7.5, "a future implementation of
 	// Yashme could use annotations to suppress race warnings").
 	Suppress []string
-	// OwnedClocks disables clock interning (the -clockintern=false escape
-	// hatch): the arena appends a private materialized clock per record
-	// instead of deduplicating snapshots, and the epoch join fast path is
-	// off. Observable results are identical either way; only cost counters
-	// move.
-	OwnedClocks bool
 }
 
 // suppressed reports whether the label is annotated away.
@@ -288,7 +282,7 @@ type Detector struct {
 
 // New returns a detector with an initial (first pre-crash) execution.
 func New(cfg Config) *Detector {
-	d := &Detector{cfg: cfg, report: report.NewSet(), arena: vclock.NewArena(cfg.OwnedClocks)}
+	d := &Detector{cfg: cfg, report: report.NewSet(), arena: vclock.NewArena()}
 	d.execs = append(d.execs, newExecution(0))
 	return d
 }

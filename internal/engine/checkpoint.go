@@ -12,7 +12,7 @@
 //
 // Capture itself is O(changes), not O(state): consecutive crash points of one
 // schedule differ by a handful of detector mutations, so only every K-th
-// snapshot (Options.Keyframe) is a full detector clone — a keyframe — and the
+// snapshot (defaultKeyframe) is a full detector clone — a keyframe — and the
 // snapshots between are delta checkpoints: a reference to the previous
 // keyframe plus the boundaries of the probe's mutation-journal segment
 // (core.Journal) recorded since it. Resume materializes a delta by cloning
@@ -252,9 +252,9 @@ type snapshot struct {
 	// the point, nil for a yashme-only stack. Unlike the model they are
 	// cloned at every snapshot — the journal records only core.Detector
 	// mutations — and resume clones them again.
-	extras  []analysis.Pass
-	rec     *trace.Recorder // nil unless tracing
-	image   imageTable
+	extras []analysis.Pass
+	rec    *trace.Recorder // nil unless tracing
+	image  imageTable
 	// setupAllocs/setupNext fingerprint the heap right after Setup.
 	setupAllocs int
 	setupNext   pmm.Addr
@@ -344,8 +344,8 @@ func dedupEnabled(opts Options) bool {
 // capture: their window spans post-crash mutations (lastflush/CVpre joins,
 // report adds) the journal does not record.
 func (k *snapshotSink) configureProbe(opts Options, det *core.Detector) {
-	if opts.Keyframe > 1 {
-		k.keyframe = opts.Keyframe
+	if opts.keyframe > 1 {
+		k.keyframe = opts.keyframe
 		k.journal = &core.Journal{}
 		det.SetJournal(k.journal)
 	}

@@ -28,7 +28,7 @@ func BenchmarkSnapshotClone(b *testing.B) {
 }
 
 // BenchmarkSnapshotDelta measures a full probe run capturing at every crash
-// point, full-clone keyframes (Keyframe=1) against the default delta
+// point, full-clone keyframes (keyframe=1) against the default delta
 // journal, and writes the BENCH_delta.json artifact: per-mode wall-clock,
 // allocation and capture-accounting numbers. The delta mode's
 // snapshot_bytes is the headline — a journal segment replaces a detector
@@ -56,7 +56,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			opts := Options{Mode: ModelCheck, Prefix: true,
-				Checkpoint: CheckpointOn, Keyframe: mode.keyframe}.withDefaults()
+				Checkpoint: CheckpointOn, keyframe: mode.keyframe}.withDefaults()
 			var stats Stats
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

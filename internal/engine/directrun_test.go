@@ -1,13 +1,15 @@
 package engine_test
 
 // Property tests for the solo-thread direct-run lease (runner.go
-// schedState): running a thread inline without the scheduler handshake must
-// be observationally invisible. Every Result field except the
-// Handoffs/DirectOps split — whose shift is the point — is byte-identical
-// with the lease on and off, across random programs, real benchmarks, both
-// checkpoint modes and every worker count. The suite runs under -race in
-// CI, which proves the lease protocol itself is data-race free: the leased
-// thread touches scenario state the scheduler normally owns.
+// schedState). The lease is unconditional: a thread that is the only
+// runnable one runs inline, and the scheduler handoff is paid only while two
+// or more threads are runnable. Both paths run in the same execution, so the
+// checks here are that every simulated operation lands on exactly one side
+// of the Handoffs/DirectOps split, that both sides fire on two-worker
+// programs, and that the verdict matches the re-simulating one-worker
+// reference run across both checkpoint modes and worker counts. The suite
+// runs under -race in CI, which proves the lease protocol itself is data-race
+// free: the leased thread touches scenario state the scheduler normally owns.
 
 import (
 	"fmt"
@@ -20,59 +22,56 @@ import (
 	"yashme/internal/progs/cceh"
 )
 
-// runPair runs mk under opts with the direct-run lease on and off and fails
-// the test unless the Results are identical modulo the Handoffs/DirectOps
-// split. Returns the two Stats for mode-specific assertions.
-func runPair(t *testing.T, name string, mk func() pmm.Program, opts engine.Options) (on, off engine.Stats) {
+// checkAgainstReference runs mk under opts and under the reference
+// semantics (one worker, every scenario re-simulated) and fails the test
+// unless the two agree on every behavioural field and opts' run accounts
+// for each simulated operation exactly once. Returns opts' Stats.
+func checkAgainstReference(t *testing.T, name string, mk func() pmm.Program, opts engine.Options) engine.Stats {
 	t.Helper()
-	onOpts, offOpts := opts, opts
-	onOpts.DirectRun = engine.DirectRunOn
-	offOpts.DirectRun = engine.DirectRunOff
-	onRes := engine.Run(mk, onOpts)
-	offRes := engine.Run(mk, offOpts)
+	refOpts := opts
+	refOpts.Workers = 1
+	refOpts.Checkpoint = engine.CheckpointOff
+	res := engine.Run(mk, opts)
+	ref := engine.Run(mk, refOpts)
 
-	if s, o := onRes.Report.String(), offRes.Report.String(); s != o {
-		t.Fatalf("%s: reports diverge:\ndirect-run on:\n%s\ndirect-run off:\n%s", name, s, o)
+	if s, r := res.Report.String(), ref.Report.String(); s != r {
+		t.Fatalf("%s: reports diverge:\nrun:\n%s\nreference:\n%s", name, s, r)
 	}
-	if !reflect.DeepEqual(onRes.Window, offRes.Window) {
-		t.Fatalf("%s: windows diverge:\non:  %v\noff: %v", name, onRes.Window, offRes.Window)
+	if !reflect.DeepEqual(res.Window, ref.Window) {
+		t.Fatalf("%s: windows diverge:\nrun:       %v\nreference: %v", name, res.Window, ref.Window)
 	}
-	if onRes.ExecutionsRun != offRes.ExecutionsRun {
-		t.Fatalf("%s: executions diverge: %d vs %d", name, onRes.ExecutionsRun, offRes.ExecutionsRun)
+	if res.ExecutionsRun != ref.ExecutionsRun {
+		t.Fatalf("%s: executions diverge: %d vs %d", name, res.ExecutionsRun, ref.ExecutionsRun)
 	}
-	if onRes.CrashPoints != offRes.CrashPoints {
-		t.Fatalf("%s: crash points diverge: %d vs %d", name, onRes.CrashPoints, offRes.CrashPoints)
+	if res.CrashPoints != ref.CrashPoints {
+		t.Fatalf("%s: crash points diverge: %d vs %d", name, res.CrashPoints, ref.CrashPoints)
 	}
-	if onRes.Report.RawCount != offRes.Report.RawCount {
-		t.Fatalf("%s: raw race counts diverge: %d vs %d", name, onRes.Report.RawCount, offRes.Report.RawCount)
+	if res.Report.RawCount != ref.Report.RawCount {
+		t.Fatalf("%s: raw race counts diverge: %d vs %d", name, res.Report.RawCount, ref.Report.RawCount)
 	}
-	on, off = onRes.Stats, offRes.Stats
-	for _, s := range []struct {
+	s, r := res.Stats, ref.Stats
+	if ops, refOps := [5]int64{s.Stores, s.Loads, s.Flushes, s.Fences, s.RMWs},
+		[5]int64{r.Stores, r.Loads, r.Flushes, r.Fences, r.RMWs}; ops != refOps {
+		t.Fatalf("%s: per-kind operation counts diverge: %v vs %v", name, ops, refOps)
+	}
+	for _, st := range []struct {
 		mode string
 		st   engine.Stats
-	}{{"on", on}, {"off", off}} {
-		if s.st.Handoffs+s.st.DirectOps != s.st.SimulatedOps {
-			t.Fatalf("%s: direct-run %s: Handoffs (%d) + DirectOps (%d) != SimulatedOps (%d)",
-				name, s.mode, s.st.Handoffs, s.st.DirectOps, s.st.SimulatedOps)
+	}{{"run", s}, {"reference", r}} {
+		if st.st.Handoffs+st.st.DirectOps != st.st.SimulatedOps {
+			t.Fatalf("%s: %s: Handoffs (%d) + DirectOps (%d) != SimulatedOps (%d)",
+				name, st.mode, st.st.Handoffs, st.st.DirectOps, st.st.SimulatedOps)
 		}
 	}
-	if off.DirectOps != 0 {
-		t.Fatalf("%s: direct-run off counted %d DirectOps, want 0", name, off.DirectOps)
-	}
-	onCmp, offCmp := on, off
-	onCmp.Handoffs, offCmp.Handoffs = 0, 0
-	onCmp.DirectOps, offCmp.DirectOps = 0, 0
-	if onCmp != offCmp {
-		t.Fatalf("%s: stats diverge beyond the handoff split:\non:  %+v\noff: %+v", name, on, off)
-	}
-	return on, off
+	return s
 }
 
 // TestDirectRunMatchesHandoff: for random programs and a real benchmark,
-// the lease changes nothing but which side of the Handoffs/DirectOps split
-// each operation lands on — across worker counts and checkpoint modes. The
-// lease must actually fire: every case has solo phases (single-threaded
-// recovery at minimum), so DirectOps must be positive with the lease on.
+// the lease and the handoff share the work of one run without moving its
+// verdict — across worker counts and checkpoint modes. Every case has solo
+// phases (single-threaded recovery at minimum), so DirectOps must be
+// positive; the random programs run two workers, so they must pay the
+// handoff as well.
 func TestDirectRunMatchesHandoff(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, ck := range []struct {
@@ -90,62 +89,20 @@ func TestDirectRunMatchesHandoff(t *testing.T) {
 				for seed := int64(1); seed <= 8; seed++ {
 					mk, _ := fuzzprog.Generate(fuzzprog.Default(), seed)
 					name := fmt.Sprintf("fuzz seed %d", seed)
-					on, _ := runPair(t, name, mk, opts)
-					if on.DirectOps == 0 {
+					s := checkAgainstReference(t, name, mk, opts)
+					if s.DirectOps == 0 {
 						t.Fatalf("%s: lease never fired (DirectOps = 0)", name)
+					}
+					if s.Handoffs == 0 {
+						t.Fatalf("%s: two workers never paid the handoff (Handoffs = 0)", name)
 					}
 				}
 				benchOpts := opts
 				benchOpts.MaxCrashPoints = 30
-				on, _ := runPair(t, "cceh", cceh.New(3, nil), benchOpts)
-				if on.DirectOps == 0 {
+				if s := checkAgainstReference(t, "cceh", cceh.New(3, nil), benchOpts); s.DirectOps == 0 {
 					t.Fatal("cceh: lease never fired (DirectOps = 0)")
 				}
 			})
 		}
-	}
-}
-
-// spawnProg is a workload whose sole worker starts a sibling mid-execution
-// (pmm.Thread.Go): the scheduler grants the solo lease, then must revoke it
-// the moment the second thread becomes runnable.
-func spawnProg() pmm.Program {
-	var a, b pmm.Addr
-	return pmm.Program{
-		Name: "spawn",
-		Setup: func(h *pmm.Heap) {
-			obj := h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
-			a, b = obj.F("a"), obj.F("b")
-			h.Init(a, 8, 0)
-			h.Init(b, 8, 0)
-		},
-		Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-			t.Store64(a, 0x1111111111111111)
-			t.Go(func(c *pmm.Thread) {
-				c.Store64(b, 0x2222222222222222)
-				c.CLFlush(b)
-			})
-			t.Store64(a, 0x3333333333333333)
-			t.CLFlush(a)
-		}},
-		PostCrash: func(t *pmm.Thread) {
-			t.Load64(a)
-			t.Load64(b)
-		},
-	}
-}
-
-// TestDirectRunLeaseRevocation: a spawn mid-lease revokes it. With the lease
-// on, the run must count both DirectOps (the solo phases before the spawn
-// and during recovery) and Handoffs (the two-thread phase after it), and
-// still match the all-handshake run exactly.
-func TestDirectRunLeaseRevocation(t *testing.T) {
-	opts := engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1}
-	on, _ := runPair(t, "spawn", spawnProg, opts)
-	if on.DirectOps == 0 {
-		t.Error("lease never fired before the spawn (DirectOps = 0)")
-	}
-	if on.Handoffs == 0 {
-		t.Error("lease was not revoked at the spawn (Handoffs = 0)")
 	}
 }

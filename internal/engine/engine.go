@@ -74,10 +74,10 @@ const (
 // resumes from its point's snapshot instead of re-simulating the whole
 // pre-crash prefix — O(n) + C·clone instead of O(C·n) simulated operations.
 // The zero value is on; CheckpointOff forces every scenario to run from
-// scratch (the escape hatch, and the baseline the equivalence tests compare
-// against). RandomMode is unaffected either way: each random execution
-// already simulates its pre-crash prefix exactly once (the crash point is
-// drawn after the probe), so there is no quadratic term to remove.
+// scratch (the reference semantics the equivalence tests compare against).
+// RandomMode is unaffected either way: each random execution already
+// simulates its pre-crash prefix exactly once (the crash point is drawn
+// after the probe), so there is no quadratic term to remove.
 type CheckpointMode int
 
 const (
@@ -86,25 +86,6 @@ const (
 	CheckpointOn CheckpointMode = iota
 	// CheckpointOff re-simulates every scenario from scratch.
 	CheckpointOff
-)
-
-// DirectRunMode selects whether the controlled scheduler grants a
-// solo-thread direct-run lease (runner.go): when exactly one thread is
-// runnable — single-threaded workloads, post-crash recovery executions, the
-// tail of an execution after the other threads finished — the thread runs
-// inline with no channel handoff and no goroutine switch until a second
-// thread becomes runnable or it ends. The lease cannot change results: the
-// scheduler only draws from the rng when more than one thread is runnable,
-// so a solo phase makes no scheduling decisions either way. The zero value
-// is on; DirectRunOff forces the handshake for every operation (the escape
-// hatch, and the baseline the equivalence tests compare against).
-type DirectRunMode int
-
-const (
-	// DirectRunOn grants solo-thread leases (default).
-	DirectRunOn DirectRunMode = iota
-	// DirectRunOff pays the scheduler handshake on every operation.
-	DirectRunOff
 )
 
 // DedupMode selects whether ModelCheck exploration memoizes equivalent
@@ -117,9 +98,9 @@ const (
 // verdict and races instead of re-simulating. Adjacent points with no
 // stores between them — the pre-clwb/pre-sfence pairs every flush idiom
 // produces — collapse this way. The zero value is on; DedupOff re-simulates
-// every scenario (the escape hatch, and the baseline the equivalence tests
-// compare against). Results are byte-identical either way; only
-// Stats.SimulatedOps/Handoffs/DirectOps (work not done) and the new
+// every scenario (the reference semantics the equivalence tests compare
+// against). Results are byte-identical either way; only
+// Stats.SimulatedOps/Handoffs/DirectOps (work not done) and the
 // DedupedScenarios counter differ.
 type DedupMode int
 
@@ -131,34 +112,16 @@ const (
 	DedupOff
 )
 
-// ClockInternMode selects the happens-before clock representation. The
-// default (interning on) stores deduplicated immutable clock snapshots in a
-// per-detector arena shared with the simulating machine: committing a
-// store allocates nothing (the record's stamp reuses the thread's shared
-// snapshot plus a packed (τ, σ) self epoch), and the detector's join-heavy
-// observation path answers "already covered?" with an O(1) epoch compare
-// before touching any vector (Stats.EpochHits/EpochMisses). ClockInternOff
-// is the escape hatch reproducing the previous one-owned-clock-per-record
-// cost model. Results are byte-identical in both modes; only the
-// ClockInterned/EpochHits/EpochMisses cost counters differ.
-type ClockInternMode int
-
-const (
-	// ClockInternOn shares deduplicated clock snapshots (default).
-	ClockInternOn ClockInternMode = iota
-	// ClockInternOff gives every record a private materialized clock.
-	ClockInternOff
-)
-
-// DefaultKeyframe is the Options.Keyframe applied when the field is zero:
-// with checkpointing on, every K-th snapshot is a full detector clone (a
+// defaultKeyframe is the checkpoint layer's full-clone interval: with
+// checkpointing on, every K-th snapshot is a full detector clone (a
 // keyframe) and the snapshots between are delta checkpoints — a reference
 // to the previous keyframe plus the probe's mutation-journal segment,
 // materialized on resume by replaying the segment onto a keyframe clone.
 // Capture cost drops from O(state) to O(changes) per crash point; resume
-// pays at most K-1 extra segment replays. Keyframe=1 makes every snapshot
-// a full clone (the pre-delta behavior).
-const DefaultKeyframe = 8
+// pays at most K-1 extra segment replays. The engine's own tests set the
+// interval to 1 (every snapshot a full clone, the pre-delta reference)
+// through Options.keyframe.
+const defaultKeyframe = 8
 
 // DefaultMaxOps is the Options.MaxOps applied when the field is zero: the
 // per-execution simulated-operation bound that turns a runaway workload
@@ -233,24 +196,16 @@ type Options struct {
 	// observation, §5.1) to each report.
 	Trace bool
 	// Checkpoint controls snapshot reuse of the pre-crash execution in
-	// ModelCheck (default CheckpointOn; see CheckpointMode). Results are
-	// byte-identical in both modes.
+	// ModelCheck (default CheckpointOn; see CheckpointMode). CheckpointOff is
+	// the reference semantics the fast path must reproduce.
 	Checkpoint CheckpointMode
-	// DirectRun controls the solo-thread direct-run scheduler lease (default
-	// DirectRunOn; see DirectRunMode). Results are byte-identical in both
-	// modes.
-	DirectRun DirectRunMode
-	// Keyframe is the full-clone interval of the checkpoint layer's delta
-	// snapshots (0 = DefaultKeyframe; 1 = every snapshot a full clone).
-	// Results are byte-identical for every value.
-	Keyframe int
 	// Dedup controls crash-scenario memoization in ModelCheck (default
-	// DedupOn; see DedupMode). Results are byte-identical in both modes.
+	// DedupOn; see DedupMode). DedupOff is the reference semantics.
 	Dedup DedupMode
-	// ClockIntern controls the interned copy-on-write clock representation
-	// (default ClockInternOn; see ClockInternMode). Results are
-	// byte-identical in both modes.
-	ClockIntern ClockInternMode
+	// keyframe is the full-clone interval of the checkpoint layer's delta
+	// snapshots (0 = defaultKeyframe); engine tests set it through
+	// export_test.go.
+	keyframe int
 	// MaxOps bounds the simulated operations of one execution (0 =
 	// DefaultMaxOps); exceeding it panics with a diagnostic.
 	MaxOps int
@@ -297,8 +252,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxOps <= 0 {
 		o.MaxOps = DefaultMaxOps
 	}
-	if o.Keyframe <= 0 {
-		o.Keyframe = DefaultKeyframe
+	if o.keyframe <= 0 {
+		o.keyframe = defaultKeyframe
 	}
 	if len(o.Analyses) == 0 {
 		o.Analyses = []string{analysis.Yashme}
@@ -318,10 +273,10 @@ func (o Options) withDefaults() Options {
 //
 // Handoffs and DirectOps split SimulatedOps by how each operation reached
 // the scheduler: Handoffs paid the full handshake (two channel round trips
-// plus a goroutine switch), DirectOps ran inline under a solo-thread
-// direct-run lease (Options.DirectRun). Handoffs + DirectOps ==
-// SimulatedOps always; like SimulatedOps, both counters vary with the
-// DirectRun and Checkpoint modes while every other counter does not.
+// plus a goroutine switch), DirectOps ran inline under the solo-thread
+// direct-run lease the scheduler grants whenever exactly one thread is
+// runnable. Handoffs + DirectOps == SimulatedOps always; like SimulatedOps,
+// both counters vary with the Checkpoint and Dedup modes.
 type Stats struct {
 	Stores  int64 `json:"stores"`
 	Loads   int64 `json:"loads"`
@@ -340,8 +295,8 @@ type Stats struct {
 	// SnapshotBytes estimates the bytes retained by checkpoint captures
 	// (keyframe clones, journal segments, the per-schedule shared image and
 	// rng copies). Like SimulatedOps it measures cost, not workload
-	// behavior, so it varies with Checkpoint/Keyframe while the per-kind
-	// counters do not.
+	// behavior, so it varies with Checkpoint while the per-kind counters do
+	// not.
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// JournalOps counts the detector mutations recorded into delta-
 	// checkpoint journals across probe runs.
@@ -350,14 +305,11 @@ type Stats struct {
 	// reused from a byte-identical earlier crash point instead of being
 	// re-simulated (DedupMode).
 	DedupedScenarios int64 `json:"deduped_scenarios"`
-	// ClockInterned counts clock snapshots appended to detector clock
-	// arenas: distinct deduplicated snapshots with interning on, one per
-	// materialized clock copy with it off (ClockInternMode). A cost
-	// counter, like SnapshotBytes.
+	// ClockInterned counts the distinct clock snapshots interned into
+	// detector clock arenas. A cost counter, like SnapshotBytes.
 	ClockInterned int64 `json:"clock_interned"`
 	// EpochHits counts clock joins answered entirely by the packed-epoch
 	// containment compare — the joins the interned representation skips.
-	// Zero with interning off (the fast path is disabled there).
 	EpochHits int64 `json:"epoch_hits"`
 	// EpochMisses counts clock joins that fell through the epoch compare
 	// to a component-wise merge and re-intern.

@@ -184,8 +184,8 @@ type scenario struct {
 	yashmeChecks bool
 	crashChecks  bool
 	machine      *tso.Machine
-	recorder *trace.Recorder // nil unless Options.Trace
-	rng      *rand.Rand
+	recorder     *trace.Recorder // nil unless Options.Trace
+	rng          *rand.Rand
 	// rngSrc is rng's underlying source, wrapped to count raw draws so a
 	// snapshot can record the stream position (checkpoint.go).
 	rngSrc *countingSource
@@ -255,12 +255,11 @@ func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist Pers
 		persist = PersistLatest
 	}
 	stack, err := analysis.NewStack(opts.Analyses, analysis.Config{
-		Prefix:      opts.Prefix,
-		EADR:        opts.EADR,
-		Benchmark:   benchmark,
-		Labeler:     func(a pmm.Addr) string { return heap.LabelFor(a) },
-		Suppress:    opts.Suppress,
-		OwnedClocks: opts.ClockIntern == ClockInternOff,
+		Prefix:    opts.Prefix,
+		EADR:      opts.EADR,
+		Benchmark: benchmark,
+		Labeler:   func(a pmm.Addr) string { return heap.LabelFor(a) },
+		Suppress:  opts.Suppress,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("engine: %v", err))
@@ -522,7 +521,7 @@ func (sc *scenario) runExecution(fns []func(*pmm.Thread)) bool {
 		pick := s.ready[0]
 		if len(s.ready) > 1 {
 			pick = s.ready[sc.rng.Intn(len(s.ready))]
-		} else if sc.opts.DirectRun == DirectRunOn {
+		} else {
 			// Solo-run fast path: exactly one runnable thread means the
 			// scheduler has no decision to make (and, crucially, no rng
 			// draw), so grant a direct-run lease — the thread's sync()
@@ -780,8 +779,15 @@ func (t *threadOps) TID() int { return int(t.tid) }
 // runnable, so sync proceeds inline — no handoff, no goroutine switch (a
 // crash mid-lease can only originate from this thread, via crashNow, which
 // unwinds directly).
+//
+// A crash discards every operation after it: an operation issued while the
+// thread unwinds (a deferred Store in the workload) must unwind too instead
+// of running inline on the leased fast path into the dead machine.
 func (t *threadOps) sync() {
 	sc := t.sc
+	if sc.crashed {
+		panic(errCrash)
+	}
 	if sc.sched.leased {
 		sc.stats.DirectOps++
 	} else {

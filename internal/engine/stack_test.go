@@ -6,8 +6,8 @@ package engine_test
 // consumes no randomness and the extra passes never influence scheduling,
 // image derivation or the model detector, so a stacked run's per-pass
 // reports — and every workload-behavior counter — must be byte-identical to
-// the single-pass runs, across random programs and the checkpoint ×
-// directrun × dedup option matrix. (The cost counters legitimately differ:
+// the single-pass runs, across random programs and the checkpoint × dedup
+// option matrix. (The cost counters legitimately differ:
 // extra passes participate in the crash-image memoization signature, so a
 // stacked run may dedup fewer scenarios.)
 
@@ -56,7 +56,7 @@ func zeroCostCounters(s *engine.Stats) {
 // Analyses={yashme,xfd} produces, per pass, byte-identical reports to
 // running that pass alone — and identical workload-behavior stats, window
 // and execution counts to the yashme-only run (the primary pass drives
-// those) — across the checkpoint × directrun × dedup matrix.
+// those) — across the checkpoint × dedup matrix.
 func TestStackedPassesMatchSolo(t *testing.T) {
 	variants := []struct {
 		name string
@@ -64,10 +64,8 @@ func TestStackedPassesMatchSolo(t *testing.T) {
 	}{
 		{"ckpt/direct/dedup", engine.Options{}},
 		{"nockpt", engine.Options{Checkpoint: engine.CheckpointOff}},
-		{"nodirect", engine.Options{DirectRun: engine.DirectRunOff}},
 		{"nodedup", engine.Options{Dedup: engine.DedupOff}},
-		{"allescape", engine.Options{Checkpoint: engine.CheckpointOff,
-			DirectRun: engine.DirectRunOff, Dedup: engine.DedupOff}},
+		{"allescape", engine.Options{Checkpoint: engine.CheckpointOff, Dedup: engine.DedupOff}},
 	}
 	for _, v := range variants {
 		v := v

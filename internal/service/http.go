@@ -23,6 +23,10 @@ type WorkloadInfo struct {
 	BenignCrashPoints int `json:"benign_crash_points,omitempty"`
 }
 
+// maxRequestBytes bounds a job submission's body. A Request is a handful of
+// short selection lists, so 1 MiB is far beyond any legitimate one.
+const maxRequestBytes = 1 << 20
+
 // NewHandler builds the service's HTTP API over a manager:
 //
 //	POST   /v1/jobs             submit a Request (?wait=1 blocks until terminal)
@@ -33,17 +37,23 @@ type WorkloadInfo struct {
 //	GET    /healthz             liveness
 //	GET    /metrics             jobs by state, cache, budget, engine counters
 //
-// Errors are {"error": "..."} JSON: 400 for invalid requests, 404 for
-// unknown jobs, 429 when the queue is full, 503 while shutting down.
+// Errors are {"error": "..."} JSON: 400 for invalid requests (including
+// unknown fields), 404 for unknown jobs, 413 for a body over
+// maxRequestBytes, 429 when the queue is full, 503 while shutting down.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var req Request
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, err)
 			return
 		}
 		job, err := m.Submit(req)

@@ -156,3 +156,19 @@ func TestHandlerCancel(t *testing.T) {
 		t.Fatal("cancelled job kept no partial result")
 	}
 }
+
+// Submissions are untrusted input: an oversize body is cut off with 413,
+// and the engine toggles the service no longer accepts are unknown fields.
+func TestHandlerRejectsOversizeAndRemovedFields(t *testing.T) {
+	_, srv := newTestServer(t)
+	big := `{"names":["` + strings.Repeat("x", maxRequestBytes) + `"]}`
+	if code, body := do(t, "POST", srv.URL+"/v1/jobs", big); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body: code %d, want 413 (body %.200s)", code, body)
+	}
+	for _, field := range []string{`"no_checkpoint":true`, `"no_directrun":true`, `"no_dedup":true`, `"no_clockintern":true`, `"keyframe":1`} {
+		code, body := do(t, "POST", srv.URL+"/v1/jobs", `{"names":["svc-probe"],`+field+`}`)
+		if code != http.StatusBadRequest || !bytes.Contains(body, []byte("unknown field")) {
+			t.Errorf("%s: code %d body %.200s, want 400 unknown field", field, code, body)
+		}
+	}
+}

@@ -5,7 +5,7 @@
 // concurrent suite run draws from (so job × suite × scenario parallelism
 // never oversubscribes GOMAXPROCS), and a content-addressed result cache
 // keyed by the canonical fingerprint of a request — workload selection,
-// engine options, analysis passes and seed — so identical submissions are
+// analysis passes and seed — so identical submissions are
 // answered without simulating anything, byte-identical to the fresh run
 // that populated the entry.
 //
@@ -41,7 +41,8 @@ import (
 // Sentinel errors the HTTP layer maps to status codes.
 var (
 	// ErrBadRequest wraps every request-validation failure (unknown
-	// workload, tag, variant or analysis; empty selection; bad knobs).
+	// workload, tag, variant or analysis; empty selection; negative seed or
+	// timeout).
 	ErrBadRequest = errors.New("bad request")
 	// ErrQueueFull reports a full submission queue (backpressure; retry).
 	ErrQueueFull = errors.New("submission queue full")
@@ -51,11 +52,13 @@ var (
 	ErrNotFound = errors.New("no such job")
 )
 
-// Request is a detection-job submission: which workloads to run, under
-// which engine configuration. The zero request runs the full registry
-// through every variant group with the engine defaults — exactly
-// cmd/yashme-tables with no flags. All fields but TimeoutMs are part of
-// the job's cache identity.
+// Request is a detection-job submission: which workloads to run, with
+// which analyses. The service only returns verdicts, so it always runs the
+// engine defaults; the engine's reference modes (checkpoint and dedup off)
+// give identical verdicts and are left to the CLIs. The zero request runs
+// the full registry through every variant group — exactly cmd/yashme-tables
+// with no flags. All fields but TimeoutMs are part of the job's cache
+// identity.
 type Request struct {
 	// Tags/Names/Variants select workloads and variant groups exactly as
 	// suite.Config does (empty = all).
@@ -68,13 +71,6 @@ type Request struct {
 	// Seed, when non-zero, overrides every run's seed (the random-mode
 	// reproducibility knob; see suite.Config.Seed).
 	Seed int64 `json:"seed,omitempty"`
-	// Engine escape hatches, mirroring the CLI flags (results are
-	// byte-identical either way; stats differ, so they fingerprint).
-	NoCheckpoint  bool `json:"no_checkpoint,omitempty"`
-	NoDirectRun   bool `json:"no_directrun,omitempty"`
-	NoDedup       bool `json:"no_dedup,omitempty"`
-	NoClockIntern bool `json:"no_clockintern,omitempty"`
-	Keyframe      int  `json:"keyframe,omitempty"`
 	// TimeoutMs bounds the job's wall-clock run (0 = the manager's
 	// default). Excluded from the fingerprint: a timeout changes when a
 	// result arrives, never what it is.
@@ -123,10 +119,10 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // JobStatus is the JSON snapshot of a job the API serves.
 type JobStatus struct {
-	ID       string  `json:"id"`
-	State    State   `json:"state"`
-	CacheHit bool    `json:"cache_hit,omitempty"`
-	Error    string  `json:"error,omitempty"`
+	ID       string `json:"id"`
+	State    State  `json:"state"`
+	CacheHit bool   `json:"cache_hit,omitempty"`
+	Error    string `json:"error,omitempty"`
 	// ElapsedNs is the job's run time (0 until it finishes running).
 	ElapsedNs int64   `json:"elapsed_ns,omitempty"`
 	Request   Request `json:"request"`
@@ -468,28 +464,14 @@ func (m *Manager) Metrics() Metrics {
 // suiteConfig maps a normalized request onto the suite runner, wiring the
 // manager's shared budget through so concurrent jobs split the machine.
 func suiteConfig(req Request, budget *engine.Budget) suite.Config {
-	cfg := suite.Config{
+	return suite.Config{
 		Tags:     req.Tags,
 		Names:    req.Names,
 		Variants: req.Variants,
 		Analyses: req.Analyses,
 		Seed:     req.Seed,
-		Keyframe: req.Keyframe,
 		Budget:   budget,
 	}
-	if req.NoCheckpoint {
-		cfg.Checkpoint = engine.CheckpointOff
-	}
-	if req.NoDirectRun {
-		cfg.DirectRun = engine.DirectRunOff
-	}
-	if req.NoDedup {
-		cfg.Dedup = engine.DedupOff
-	}
-	if req.NoClockIntern {
-		cfg.ClockIntern = engine.ClockInternOff
-	}
-	return cfg
 }
 
 // normalize canonicalizes a request (sorted unique tags and names,
@@ -570,9 +552,6 @@ func normalize(req Request) (Request, error) {
 
 	if req.Seed < 0 {
 		return req, fmt.Errorf("%w: negative seed", ErrBadRequest)
-	}
-	if req.Keyframe < 0 {
-		return req, fmt.Errorf("%w: negative keyframe", ErrBadRequest)
 	}
 	if req.TimeoutMs < 0 {
 		return req, fmt.Errorf("%w: negative timeout_ms", ErrBadRequest)

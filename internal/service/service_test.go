@@ -341,9 +341,9 @@ func TestFingerprint(t *testing.T) {
 	if fingerprint(a) == fingerprint(c) {
 		t.Fatal("seed did not change the fingerprint")
 	}
-	d := norm(Request{Tags: []string{"table3", "table4"}, Variants: []string{"races", "table5"}, NoCheckpoint: true})
+	d := norm(Request{Tags: []string{"table3", "table4"}, Variants: []string{"races", "table5"}, Analyses: []string{"yashme", "xfd"}})
 	if fingerprint(a) == fingerprint(d) {
-		t.Fatal("engine options did not change the fingerprint")
+		t.Fatal("analyses did not change the fingerprint")
 	}
 }
 

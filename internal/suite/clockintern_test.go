@@ -3,62 +3,70 @@ package suite
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"yashme/internal/engine"
 )
 
 // TestClockInternMatchesOwned: the interned clock arena with the epoch fast
-// path and the owned one-clock-per-record escape hatch produce identical
-// canonical JSON — races, windows, workload stats — across every fast-path
-// combination the engine offers. Only the clock-arena cost counters may
-// differ: the owned mode interns one snapshot per commit and never takes
-// the epoch path, which is exactly what the counters exist to show.
+// path is the only clock representation, so it must reproduce the verdicts
+// of the reference semantics (every scenario re-simulated, no memoization,
+// one worker) under every fast-path combination the engine offers, and the
+// arena's own cost counters must be a function of the workload alone: the
+// worker count may not move a byte of the canonical JSON, clock counters
+// included. The epoch path must fire in every combination — skipping joins
+// is what the interned representation exists for.
 func TestClockInternMatchesOwned(t *testing.T) {
-	clocks := func(s *engine.Stats) {
-		s.ClockInterned, s.EpochHits, s.EpochMisses = 0, 0, 0
-	}
 	canon := func(r *Result) []byte {
 		c := r.Canonical()
-		for i := range c.Benchmarks {
-			for j := range c.Benchmarks[i].Runs {
-				clocks(&c.Benchmarks[i].Runs[j].Stats)
-			}
-		}
+		c.Config.Workers = 0
 		data, err := c.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return data
 	}
+	base := Config{
+		Names:    []string{"CCEH", "P-ART"},
+		Variants: []string{VariantRaces},
+	}
+	refCfg := base
+	refCfg.Checkpoint, refCfg.Dedup, refCfg.Workers = engine.CheckpointOff, engine.DedupOff, 1
+	ref := Run(refCfg)
 	for _, ck := range []engine.CheckpointMode{engine.CheckpointOn, engine.CheckpointOff} {
-		for _, dr := range []engine.DirectRunMode{engine.DirectRunOn, engine.DirectRunOff} {
-			for _, dd := range []engine.DedupMode{engine.DedupOn, engine.DedupOff} {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("ck=%d/dr=%d/dd=%d/w=%d", ck, dr, dd, workers)
-					cfg := Config{
-						Names:      []string{"CCEH", "P-ART"},
-						Variants:   []string{VariantRaces},
-						Checkpoint: ck,
-						DirectRun:  dr,
-						Dedup:      dd,
-						Workers:    workers,
-					}
-					interned := Run(cfg)
+		for _, dd := range []engine.DedupMode{engine.DedupOn, engine.DedupOff} {
+			var first []byte
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("ck=%d/dd=%d/w=%d", ck, dd, workers)
+				cfg := base
+				cfg.Checkpoint, cfg.Dedup, cfg.Workers = ck, dd, workers
+				res := Run(cfg)
 
-					owned := cfg
-					owned.ClockIntern = engine.ClockInternOff
-					ownedRes := Run(owned)
+				if len(res.Benchmarks) != len(ref.Benchmarks) {
+					t.Fatalf("%s: %d benchmarks, reference has %d", name, len(res.Benchmarks), len(ref.Benchmarks))
+				}
+				for i := range ref.Benchmarks {
+					rb, gb := &ref.Benchmarks[i], &res.Benchmarks[i]
+					if len(rb.Runs) != len(gb.Runs) {
+						t.Fatalf("%s: %s has %d runs, reference has %d", name, rb.Name, len(gb.Runs), len(rb.Runs))
+					}
+					for j := range rb.Runs {
+						if w, h := behaviourOf(&rb.Runs[j]), behaviourOf(&gb.Runs[j]); !reflect.DeepEqual(w, h) {
+							t.Errorf("%s: %s/%s diverges from the reference:\nreference: %+v\nrun:       %+v",
+								name, rb.Name, rb.Runs[j].Variant, w, h)
+						}
+					}
+				}
+				if h := res.TotalStats().EpochHits; h == 0 {
+					t.Errorf("%s: interned run took the epoch fast path 0 times", name)
+				}
 
-					if ij, oj := canon(interned), canon(ownedRes); !bytes.Equal(ij, oj) {
-						t.Fatalf("%s: interned != owned canonical JSON:\n%s\nvs\n%s", name, ij, oj)
-					}
-					if h := interned.TotalStats().EpochHits; h == 0 {
-						t.Errorf("%s: interned run took the epoch fast path 0 times", name)
-					}
-					if st := ownedRes.TotalStats(); st.EpochHits != 0 || st.EpochMisses != 0 {
-						t.Errorf("%s: owned run used the epoch fast path: %+v", name, st)
-					}
+				data := canon(res)
+				if first == nil {
+					first = data
+				} else if !bytes.Equal(first, data) {
+					t.Fatalf("%s: canonical JSON depends on the worker count:\n%s\nvs\n%s", name, first, data)
 				}
 			}
 		}

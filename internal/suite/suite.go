@@ -108,20 +108,11 @@ type Config struct {
 	// the random-mode reproducibility knob — and part of a detection job's
 	// cache identity in internal/service.
 	Seed int64
-	// Checkpoint and DirectRun select the engine fast-path modes for every
-	// run (defaults on; results identical either way).
+	// Checkpoint and Dedup select the engine's snapshot-resume and
+	// crash-image memoization modes for every run (defaults on; the off
+	// settings are the reference semantics, with identical results).
 	Checkpoint engine.CheckpointMode
-	DirectRun  engine.DirectRunMode
-	// Keyframe is the full-clone interval for delta checkpoints (0 = the
-	// engine default; 1 = every snapshot a full clone) and Dedup toggles
-	// crash-image memoization — both forwarded to every engine run
-	// (results identical at any setting).
-	Keyframe int
-	Dedup    engine.DedupMode
-	// ClockIntern toggles the interned clock arena + epoch fast path —
-	// forwarded to every engine run (results identical at either setting,
-	// the owned representation is the debugging escape hatch).
-	ClockIntern engine.ClockInternMode
+	Dedup      engine.DedupMode
 	// Analyses selects the analysis passes every engine run executes (nil =
 	// the engine default, yashme alone). The first selected pass is primary:
 	// each RunResult's top-level Races/RaceCount are its report, and when
@@ -140,7 +131,6 @@ type Config struct {
 type Summary struct {
 	Workers    int      `json:"workers"`
 	Checkpoint bool     `json:"checkpoint"`
-	DirectRun  bool     `json:"directrun"`
 	Shard      string   `json:"shard,omitempty"`
 	Tags       []string `json:"tags,omitempty"`
 	Names      []string `json:"names,omitempty"`
@@ -489,7 +479,6 @@ func RunContext(ctx context.Context, cfg Config) *Result {
 		Config: Summary{
 			Workers:    budget.Size(),
 			Checkpoint: cfg.Checkpoint == engine.CheckpointOn,
-			DirectRun:  cfg.DirectRun == engine.DirectRunOn,
 			Tags:       cfg.Tags,
 			Names:      cfg.Names,
 			Variants:   groups,
@@ -512,10 +501,7 @@ func RunContext(ctx context.Context, cfg Config) *Result {
 			opts := j.opts
 			opts.Workers = budget.Size()
 			opts.Checkpoint = cfg.Checkpoint
-			opts.DirectRun = cfg.DirectRun
-			opts.Keyframe = cfg.Keyframe
 			opts.Dedup = cfg.Dedup
-			opts.ClockIntern = cfg.ClockIntern
 			opts.Analyses = cfg.Analyses
 			opts.Budget = budget
 			if cfg.Seed != 0 {

@@ -231,7 +231,7 @@ func NewMachine(listener Listener) *Machine {
 	if p, ok := listener.(arenaProvider); ok {
 		m.clocks = p.ClockArena()
 	} else {
-		m.clocks = vclock.NewArena(false)
+		m.clocks = vclock.NewArena()
 	}
 	return m
 }
@@ -360,19 +360,13 @@ func (m *Machine) snapshot(tid vclock.TID) vclock.Stamp {
 }
 
 // commitStamp assigns the next global sequence number to an operation by
-// tid and returns the operation's clock. In interning mode this allocates
-// nothing: the stamp reuses the thread's shared snapshot and carries the
-// new (tid, seq) epoch as its self component. In owned mode it appends a
-// private materialized copy, reproducing the per-record clock
-// representation this layout replaced.
+// tid and returns the operation's clock. This allocates nothing: the stamp
+// reuses the thread's shared snapshot and carries the new (tid, seq) epoch
+// as its self component.
 func (m *Machine) commitStamp(tid vclock.TID) vclock.Stamp {
 	m.seq++
 	m.self[tid] = m.seq
-	st := vclock.Stamp{Base: m.base[tid], Self: vclock.NewEpoch(tid, m.seq)}
-	if m.clocks.Owned() {
-		st = m.clocks.Reintern(st)
-	}
-	return st
+	return vclock.Stamp{Base: m.base[tid], Self: vclock.NewEpoch(tid, m.seq)}
 }
 
 // joinThread merges a published stamp into the thread's clock (the acquire
@@ -466,9 +460,6 @@ func (m *Machine) commit(tid vclock.TID, e SBEntry) {
 		m.listener.CLFlushCommitted(tid, e.Addr, m.seq, st)
 	case OpCLWB:
 		st := m.snapshot(tid)
-		if m.clocks.Owned() {
-			st = m.clocks.Reintern(st)
-		}
 		m.fb[tid] = append(m.fb[tid], FBEntry{Addr: e.Addr, CV: st, TID: tid})
 		m.listener.CLWBBuffered(tid, e.Addr, st)
 	case OpSFence:

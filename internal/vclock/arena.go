@@ -83,12 +83,6 @@ type Stamp struct {
 // Arena holds deduplicated immutable clock snapshots. Entries are
 // append-only and never mutated after interning, so Clone is a capped
 // slice view and clones share backing storage until either side appends.
-//
-// An owned Arena (the -clockintern=false escape hatch) appends a private
-// materialized copy on every Intern instead of deduplicating, reproducing
-// the one-clock-per-record cost model of the previous representation; the
-// epoch join fast path is disabled there so the two modes differ only in
-// cost counters, never in observable results.
 type Arena struct {
 	entries []VC // entries[0] is the canonical empty clock (nil)
 	// lookup maps canonical clock bytes to their Ref. It is rebuilt lazily
@@ -99,7 +93,6 @@ type Arena struct {
 	key     []byte // scratch for canonical keys
 	buf     VC     // scratch: join left operand / materialized stamps
 	buf2    VC     // scratch: join right operand
-	owned   bool
 
 	// Cost counters, harvested (and reset) via TakeCounters. Clones start
 	// at zero so resumed scenarios count only their own work.
@@ -108,14 +101,10 @@ type Arena struct {
 	epochMisses int64
 }
 
-// NewArena returns an empty arena. owned selects the always-append escape
-// hatch over interning.
-func NewArena(owned bool) *Arena {
-	return &Arena{entries: make([]VC, 1, 16), lookupN: 1, owned: owned}
+// NewArena returns an empty arena.
+func NewArena() *Arena {
+	return &Arena{entries: make([]VC, 1, 16), lookupN: 1}
 }
-
-// Owned reports whether the arena is in the always-append mode.
-func (a *Arena) Owned() bool { return a.owned }
 
 // Len returns the number of snapshots, counting the canonical empty clock.
 func (a *Arena) Len() int { return len(a.entries) }
@@ -160,35 +149,23 @@ func (a *Arena) index() {
 }
 
 // Intern returns the Ref of v's canonical form, appending a private copy
-// if (in interning mode) no identical snapshot exists yet. v is not
-// retained; the caller may keep mutating it.
+// if no identical snapshot exists yet. v is not retained; the caller may
+// keep mutating it.
 func (a *Arena) Intern(v VC) Ref {
 	w := canonical(v)
 	if len(w) == 0 {
 		return 0
 	}
-	if !a.owned {
-		a.index()
-		if r, ok := a.lookup[string(a.keyOf(w))]; ok {
-			return r
-		}
+	a.index()
+	if r, ok := a.lookup[string(a.keyOf(w))]; ok {
+		return r
 	}
 	r := Ref(len(a.entries))
 	a.entries = append(a.entries, w.Clone())
 	a.interned++
-	if !a.owned {
-		a.lookup[string(a.keyOf(w))] = r
-		a.lookupN = len(a.entries)
-	}
+	a.lookup[string(a.keyOf(w))] = r
+	a.lookupN = len(a.entries)
 	return r
-}
-
-// Reintern materializes a stamp and appends it as a private snapshot —
-// the owned mode's per-record clock copy. The returned stamp addresses the
-// new snapshot with the same self epoch (now redundantly folded in).
-func (a *Arena) Reintern(st Stamp) Stamp {
-	a.buf = a.MaterializeInto(a.buf[:0], st)
-	return Stamp{Base: a.Intern(a.buf), Self: st.Self}
 }
 
 // Get returns the component for t of the clock a stamp denotes.
@@ -253,7 +230,7 @@ func (a *Arena) Materialize(st Stamp) VC {
 // included in At(r), the commit-closure property guarantees st's whole
 // clock is too, so the join is a no-op and no vector is touched.
 func (a *Arena) JoinStamp(r Ref, st Stamp) Ref {
-	if !a.owned && st.Self.Seq() != 0 {
+	if st.Self.Seq() != 0 {
 		if st.Self.HappensBefore(a.entries[r]) {
 			a.epochHits++
 			return r
@@ -267,7 +244,7 @@ func (a *Arena) JoinStamp(r Ref, st Stamp) Ref {
 // thread's own latest seq) and returns the new base Ref. Same epoch fast
 // path as JoinStamp, additionally covered by the thread's self component.
 func (a *Arena) JoinThread(base Ref, t TID, self Seq, st Stamp) Ref {
-	if !a.owned && st.Self.Seq() != 0 {
+	if st.Self.Seq() != 0 {
 		covered := st.Self.HappensBefore(a.entries[base])
 		if !covered && st.Self.TID() == t {
 			covered = st.Self.Seq() <= self
@@ -300,7 +277,6 @@ func (a *Arena) Clone() *Arena {
 	return &Arena{
 		entries: a.entries[:len(a.entries):len(a.entries)],
 		lookupN: 1,
-		owned:   a.owned,
 	}
 }
 

@@ -1,11 +1,11 @@
 package vclock
 
-// Arena equivalence harness: a mini-simulation drives the interned arena,
-// the owned (always-append) arena and the map-based reference oracle from
-// reference_test.go through the same operation sequence, respecting the σ
-// invariant the epoch fast path depends on — sequence numbers are globally
-// unique and strictly increasing, and every clock is a join of commit-time
-// thread-clock snapshots. The three must agree on every observable.
+// Arena equivalence harness: a mini-simulation drives the interned arena
+// and the map-based reference oracle from reference_test.go through the
+// same operation sequence, respecting the σ invariant the epoch fast path
+// depends on — sequence numbers are globally unique and strictly
+// increasing, and every clock is a join of commit-time thread-clock
+// snapshots. The two must agree on every observable.
 
 import (
 	"fmt"
@@ -34,9 +34,9 @@ type arenaSim struct {
 	lfRef mapVC
 }
 
-func newArenaSim(owned bool) *arenaSim {
+func newArenaSim() *arenaSim {
 	s := &arenaSim{
-		a:     NewArena(owned),
+		a:     NewArena(),
 		base:  make([]Ref, arenaTIDs),
 		self:  make([]Seq, arenaTIDs),
 		ref:   make([]mapVC, arenaTIDs),
@@ -63,9 +63,6 @@ func (s *arenaSim) apply(op arenaOp) {
 		s.seq++
 		s.self[t] = s.seq
 		st := Stamp{Base: s.base[t], Self: NewEpoch(t, s.seq)}
-		if s.a.Owned() {
-			st = s.a.Reintern(st)
-		}
 		s.ref[t][t] = s.seq
 		m := make(mapVC, len(s.ref[t]))
 		for u, q := range s.ref[t] {
@@ -127,20 +124,14 @@ func (s *arenaSim) check() error {
 }
 
 // Property: under the simulator's σ discipline, the interned arena (epoch
-// fast path on) and the owned arena (fast path off, one private snapshot
-// per commit) both agree with the map oracle after every event.
+// fast path on) agrees with the map oracle after every event.
 func TestArenaMatchesMapReference(t *testing.T) {
 	f := func(ops []arenaOp) bool {
-		interned, owned := newArenaSim(false), newArenaSim(true)
+		sim := newArenaSim()
 		for _, op := range ops {
-			interned.apply(op)
-			owned.apply(op)
-			if err := interned.check(); err != nil {
-				t.Logf("interned, after %+v: %v", op, err)
-				return false
-			}
-			if err := owned.check(); err != nil {
-				t.Logf("owned, after %+v: %v", op, err)
+			sim.apply(op)
+			if err := sim.check(); err != nil {
+				t.Logf("after %+v: %v", op, err)
 				return false
 			}
 		}
@@ -151,26 +142,19 @@ func TestArenaMatchesMapReference(t *testing.T) {
 	}
 }
 
-// Property: the epoch fast path fires under the discipline, and never on
-// the owned arena.
+// Property: every join of a commit stamp is answered by the epoch compare,
+// as a hit or a miss.
 func TestArenaEpochCounters(t *testing.T) {
 	f := func(ops []arenaOp) bool {
-		interned, owned := newArenaSim(false), newArenaSim(true)
+		sim := newArenaSim()
 		joins := 0
 		for _, op := range ops {
-			if op.Kind%3 != 0 && len(interned.stamps) > 0 {
+			if op.Kind%3 != 0 && len(sim.stamps) > 0 {
 				joins++
 			}
-			interned.apply(op)
-			owned.apply(op)
+			sim.apply(op)
 		}
-		ih, ihits, imiss := interned.a.TakeCounters()
-		_, ohits, omiss := owned.a.TakeCounters()
-		_ = ih
-		if ohits != 0 || omiss != 0 {
-			t.Logf("owned arena used the epoch fast path: hits=%d misses=%d", ohits, omiss)
-			return false
-		}
+		_, ihits, imiss := sim.a.TakeCounters()
 		if int(ihits+imiss) != joins {
 			t.Logf("interned arena: %d hits + %d misses != %d joins", ihits, imiss, joins)
 			return false
@@ -186,7 +170,7 @@ func TestArenaEpochCounters(t *testing.T) {
 // read-only; either side's later interns stay private, shared Refs resolve
 // identically on both sides, and the clone's cost counters start at zero.
 func TestArenaCloneNoAliasing(t *testing.T) {
-	a := NewArena(false)
+	a := NewArena()
 	r1 := a.Intern(VC{1, 2})
 	r2 := a.Intern(VC{3})
 	n := a.Len()
