@@ -129,7 +129,7 @@ func BenchmarkTable3Parallel(b *testing.B) {
 // are identical in the on and off modes (the equivalence contract); the
 // simops metric is the checkpoint layer's win (snapshots remove the O(C·n)
 // pre-crash re-simulation) and the handoffs/direct_ops split shows how much
-// of the work ran under the solo-thread lease. The parent benchmark writes
+// of the work ran solo, with no pick. The parent benchmark writes
 // the unified BENCH_suite.json artifact — aggregate plus per-benchmark
 // breakdown per mode — so the perf trajectory is tracked across changes;
 // cmd/benchguard compares a fresh run against the committed artifact in CI.
@@ -286,10 +286,12 @@ func BenchmarkSuiteTable3(b *testing.B) {
 
 // BenchmarkSchedulerHandoff (E20): the per-operation scheduler cost in
 // isolation — a Yield-heavy workload where every operation is a scheduling
-// point and nothing else happens. With one thread the direct-run lease
-// eliminates the handshake entirely; with four threads it can only cover
-// the tail after three finish, so the pair brackets the lease's reach.
-// The reported handoffs/directops split shows where the operations went.
+// point and nothing else happens. With one thread every operation runs solo,
+// with no pick and no goroutine switch; with two, nearly every operation is
+// a handoff (only the tail after one thread finishes runs solo); with four,
+// handoffs switch among more goroutines. The reported handoffs/directops
+// split shows where the operations went, and ns/handoff is the run's time
+// per handoff.
 func BenchmarkSchedulerHandoff(b *testing.B) {
 	mkProg := func(threads int) func() yashme.Program {
 		return func() yashme.Program {
@@ -312,7 +314,7 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 			}
 		}
 	}
-	for _, threads := range []int{1, 4} {
+	for _, threads := range []int{1, 2, 4} {
 		threads := threads
 		b.Run("threads-"+itoa(threads), func(b *testing.B) {
 			b.ReportAllocs()
@@ -324,13 +326,16 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 			}
 			b.ReportMetric(float64(handoffs), "handoffs")
 			b.ReportMetric(float64(directOps), "directops")
+			if handoffs > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*handoffs), "ns/handoff")
+			}
 		})
 	}
 }
 
 // BenchmarkSoloRecovery (E20): a full single-threaded model-checking sweep —
-// the shape the lease targets end to end, since the pre-crash workload, every
-// checkpointed resume, and every recovery execution all run solo.
+// the solo path end to end, since the pre-crash workload, every checkpointed
+// resume, and every recovery execution all run with one live thread.
 func BenchmarkSoloRecovery(b *testing.B) {
 	mk := func() yashme.Program {
 		var base yashme.Addr

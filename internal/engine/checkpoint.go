@@ -464,7 +464,7 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 	if point > 0 {
 		// A from-scratch crash at this point unwinds the remaining live
 		// threads; the scheduler draws Intn(j) for j = live-1 down to 2.
-		snap.unwind = sc.liveThreads - 1
+		snap.unwind = sc.sched.live - 1
 	}
 	snap.extras = analysis.CloneExtras(sc.stack.Extras())
 	if sc.recorder != nil {
@@ -503,7 +503,7 @@ func (k *snapshotSink) classify(sc *scenario, point int) {
 	buf = sigU64(buf, uint64(sc.heap.AllocCount()))
 	buf = sigU64(buf, uint64(sc.heap.NextFree()))
 	buf = sigU64(buf, uint64(len(sc.heap.InitWrites())))
-	buf = sigU64(buf, uint64(sc.liveThreads))
+	buf = sigU64(buf, uint64(sc.sched.live))
 	buf = sigU64(buf, sc.rngSrc.n)
 	buf = sc.image.appendSignature(buf)
 	buf = sc.det.Current().AppendStateSignature(buf)

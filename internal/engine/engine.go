@@ -271,12 +271,12 @@ func (o Options) withDefaults() Options {
 // shrinks when scenarios resume from snapshots: the ratio between the two
 // modes is the checkpoint layer's measured win.
 //
-// Handoffs and DirectOps split SimulatedOps by how each operation reached
-// the scheduler: Handoffs paid the full handshake (two channel round trips
-// plus a goroutine switch), DirectOps ran inline under the solo-thread
-// direct-run lease the scheduler grants whenever exactly one thread is
-// runnable. Handoffs + DirectOps == SimulatedOps always; like SimulatedOps,
-// both counters vary with the Checkpoint and Dedup modes.
+// Handoffs and DirectOps split SimulatedOps by what each operation's
+// scheduling point did: Handoffs picked among two or more live threads (and
+// resumed another thread's goroutine unless the pick was the caller),
+// DirectOps ran inline because the caller was the only live thread.
+// Handoffs + DirectOps == SimulatedOps always; like SimulatedOps, both
+// counters vary with the Checkpoint and Dedup modes.
 type Stats struct {
 	Stores  int64 `json:"stores"`
 	Loads   int64 `json:"loads"`
@@ -286,11 +286,11 @@ type Stats struct {
 	// SimulatedOps is the number of operations actually simulated (stepped
 	// through the scheduler), across probes and scenarios.
 	SimulatedOps int64 `json:"simulated_ops"`
-	// Handoffs counts simulated operations that paid the scheduler
-	// handshake.
+	// Handoffs counts simulated operations whose scheduling point picked
+	// among two or more live threads.
 	Handoffs int64 `json:"handoffs"`
-	// DirectOps counts simulated operations that ran under a direct-run
-	// lease, with no handoff.
+	// DirectOps counts simulated operations that ran inline as the only
+	// live thread, with no pick.
 	DirectOps int64 `json:"direct_ops"`
 	// SnapshotBytes estimates the bytes retained by checkpoint captures
 	// (keyframe clones, journal segments, the per-schedule shared image and
@@ -316,7 +316,10 @@ type Stats struct {
 	EpochMisses int64 `json:"epoch_misses"`
 }
 
-func (s *Stats) add(o Stats) {
+// Add accumulates o into s, counter by counter. It is the one summer every
+// layer uses (scenario into result, runs into a suite total, jobs into the
+// service ledger), so a new counter is added here once.
+func (s *Stats) Add(o Stats) {
 	s.Stores += o.Stores
 	s.Loads += o.Loads
 	s.Flushes += o.Flushes
@@ -456,7 +459,7 @@ func (res *Result) absorb(sc *scenario) {
 	sc.stats.ClockInterned += ci
 	sc.stats.EpochHits += eh
 	sc.stats.EpochMisses += em
-	res.Stats.add(sc.stats)
+	res.Stats.Add(sc.stats)
 	tso.Retire(sc.machine)
 	sc.machine = nil
 }

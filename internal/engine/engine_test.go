@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -366,6 +367,25 @@ func TestStatsAccumulate(t *testing.T) {
 	res := Run(figure1(nil), Options{Mode: ModelCheck, Prefix: true})
 	if res.Stats.Stores == 0 || res.Stats.Loads == 0 || res.Stats.Flushes == 0 {
 		t.Fatalf("stats not accumulated: %+v", res.Stats)
+	}
+}
+
+// TestStatsAddCoversEveryCounter: Stats.Add sums every int64 field, so a
+// counter added to Stats cannot be silently dropped from the totals.
+func TestStatsAddCoversEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("Stats.%s is %s, want int64", v.Type().Field(i).Name, v.Field(i).Kind())
+		}
+		v.Field(i).SetInt(1)
+	}
+	s.Add(s)
+	for i := 0; i < v.NumField(); i++ {
+		if got := v.Field(i).Int(); got != 2 {
+			t.Errorf("Stats.%s = %d after adding 1 to 1, want 2", v.Type().Field(i).Name, got)
+		}
 	}
 }
 

@@ -353,7 +353,7 @@ func (res *Result) mergeSpec(r *specResult) {
 		res.Passes[i].Report.Merge(rep)
 	}
 	res.ExecutionsRun += r.executions
-	res.Stats.add(r.stats)
+	res.Stats.Add(r.stats)
 	if !r.spec.window {
 		return
 	}
@@ -638,7 +638,7 @@ func (r *specResult) absorb(sc *scenario) {
 	sc.stats.ClockInterned += ci
 	sc.stats.EpochHits += eh
 	sc.stats.EpochMisses += em
-	r.stats.add(sc.stats)
+	r.stats.Add(sc.stats)
 	// The scenario's last machine is dead with the scenario; retire its
 	// backings for the next scenario on any worker.
 	tso.Retire(sc.machine)

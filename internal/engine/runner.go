@@ -229,9 +229,6 @@ type scenario struct {
 	// runs (execution 0); runSpec sets it on primary scenarios to checkpoint
 	// the recovery execution for multi-crash follow-ups.
 	capture *snapshotSink
-	// liveThreads mirrors the scheduler's live-thread count; a snapshot
-	// records it to replay the crash-unwind rng draws on resume.
-	liveThreads int
 	// setupAllocs/setupNext fingerprint the heap right after Setup; a resume
 	// verifies a fresh Setup reproduced the same shape before grafting
 	// snapshot state onto it.
@@ -384,98 +381,122 @@ func (sc *scenario) startMachine() {
 	})
 }
 
-// threadEvent is a thread → scheduler notification.
-type threadEvent struct {
-	tid  int
-	done bool
-}
-
 // schedState is the controlled scheduler's pooled bookkeeping, owned by the
 // scenario and reused across all of its executions (pre-crash + every
-// recovery run): the event channel, the per-thread slots (ops, Thread
-// wrapper, resume channel) and the scratch ready-set. Only the goroutine
-// currently holding the grant (or the scheduler, while every thread is
-// blocked) touches this state, and every ownership transfer rides a channel
-// operation, so access is race-free by the handoff discipline.
+// recovery run): the per-thread slots (ops, Thread wrapper, resume channel),
+// the scratch ready-set and the once-per-execution done signal.
+//
+// The scheduler is a baton the simulated threads pass among themselves,
+// not a goroutine of its own. Exactly one goroutine holds it at a time —
+// runExecution until it resumes the first thread, then the running thread —
+// and every transfer rides a channel operation, so access is race-free by
+// the baton discipline. A thread at a scheduling point makes the pick itself
+// and, unless it picked itself, resumes its successor and parks.
 type schedState struct {
-	// events is the thread → scheduler channel. At most one event is ever
-	// in flight (one thread runs at a time), so capacity 1 suffices.
-	events   chan threadEvent
-	ops      []*threadOps
-	threads  []*pmm.Thread
-	waiting  []bool
-	finished []bool
-	panics   []any
+	ops []*threadOps
 	// ready is the per-step scratch ready-set (reused, never reallocated
 	// once grown).
-	ready []int
+	ready []*threadOps
 	// n is the current execution's thread count (slices may be longer from
 	// an earlier, wider execution or a mid-execution spawn).
-	n    int
+	n int
+	// live counts the threads not yet exited; a snapshot records it to
+	// replay the crash-unwind rng draws on resume.
 	live int
-	// leased marks an active solo-thread direct-run lease: the granted
-	// thread's sync() proceeds inline, with no handoff, until the lease is
-	// revoked (a spawn makes a second thread runnable) or the thread ends.
-	leased bool
+	// failure is the first workload panic of the execution (nil if none).
+	failure any
+	// done carries the last thread's exit to runExecution, with failure.
+	done chan any
 }
 
 // begin readies the pooled state for an execution of n threads.
 func (s *schedState) begin(n int) {
-	if s.events == nil {
-		s.events = make(chan threadEvent, 1)
+	if s.done == nil {
+		s.done = make(chan any, 1)
 	}
 	s.grow(n)
 	s.n = n
-	s.leased = false
+	s.live = n
+	s.failure = nil
 }
 
 // grow extends the per-thread slots to hold n threads.
 func (s *schedState) grow(n int) {
 	for len(s.ops) < n {
 		s.ops = append(s.ops, nil)
-		s.threads = append(s.threads, nil)
-		s.waiting = append(s.waiting, false)
-		s.finished = append(s.finished, false)
-		s.panics = append(s.panics, nil)
 	}
 }
 
-// startThread (re)initializes slot i and launches its goroutine, which
-// blocks until the first grant.
+// pick chooses the next thread to run among the waiting ones and marks it
+// running. Deterministic given the seed: the ready set is in index order,
+// and the rng is drawn only when there is a real choice.
+func (sc *scenario) pick() *threadOps {
+	s := &sc.sched
+	s.ready = s.ready[:0]
+	for _, o := range s.ops[:s.n] {
+		if o.waiting {
+			s.ready = append(s.ready, o)
+		}
+	}
+	next := s.ready[0]
+	if len(s.ready) > 1 {
+		next = s.ready[sc.rng.Intn(len(s.ready))]
+	}
+	next.waiting = false
+	return next
+}
+
+// startThread (re)initializes slot i and launches its goroutine, parked
+// until it is first picked.
 func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 	s := &sc.sched
 	o := s.ops[i]
 	if o == nil {
 		o = &threadOps{sc: sc, tid: vclock.TID(i), resume: make(chan struct{})}
+		o.th = pmm.NewThread(o, sc.heap)
 		s.ops[i] = o
-		s.threads[i] = pmm.NewThread(o, sc.heap)
 	}
-	o.guarded = false
-	s.waiting[i], s.finished[i], s.panics[i] = true, false, nil
-	th := s.threads[i]
+	o.guarded, o.waiting = false, true
 	go func() {
-		defer func() {
-			// Workload panics propagate to the scheduler goroutine (so
-			// callers can recover them); the crash sentinel unwinds
-			// silently.
-			if r := recover(); r != nil && r != errCrash {
-				s.panics[i] = r
-			}
-			s.events <- threadEvent{tid: i, done: true}
-		}()
-		<-o.resume // wait for the first grant
+		defer func() { sc.exitThread(i, recover()) }()
+		<-o.resume // wait to be picked
 		if sc.crashed {
 			panic(errCrash)
 		}
-		fn(th)
+		fn(o.th)
 	}()
 }
 
+// exitThread is a finished or unwound thread's last act while it holds the
+// baton: the bookkeeping, then the baton passes to a successor — or, from
+// the last thread, back to runExecution. A workload panic (the crash
+// sentinel aside) marks the execution crashed, so every parked thread
+// unwinds through errCrash without touching the machine, and travels to
+// runExecution on the done signal.
+func (sc *scenario) exitThread(i int, r any) {
+	s := &sc.sched
+	s.live--
+	if r != nil && r != errCrash {
+		if s.failure == nil {
+			s.failure = r
+		}
+		sc.crashed = true
+	}
+	if !sc.crashed {
+		// The thread completed normally; its buffered stores drain (the
+		// hardware eventually writes them to the cache).
+		sc.machine.DrainSB(vclock.TID(i))
+	}
+	if s.live == 0 {
+		s.done <- s.failure
+		return
+	}
+	sc.pick().resume <- struct{}{}
+}
+
 // spawnThread registers fn as a new simulated thread (Thread.Go). It runs on
-// the granting thread's goroutine — the only one executing — while the
-// scheduler is blocked on the event channel; the scheduler observes the new
-// thread at its next scheduling step. Any direct-run lease is revoked: with
-// two runnable threads the scheduler has real decisions to make again.
+// the spawning thread's goroutine, which holds the baton; the new thread is
+// in the ready set from the spawner's next scheduling point on.
 func (sc *scenario) spawnThread(fn func(*pmm.Thread)) {
 	s := &sc.sched
 	i := s.n
@@ -484,12 +505,11 @@ func (sc *scenario) spawnThread(fn func(*pmm.Thread)) {
 	sc.machine.SpawnThreads(s.n)
 	sc.startThread(i, fn)
 	s.live++
-	sc.liveThreads = s.live
-	s.leased = false
 }
 
 // runExecution runs the given thread functions under the controlled
 // scheduler; it returns whether the execution ended in an injected crash.
+// A workload panic is re-raised here, after every thread has exited.
 func (sc *scenario) runExecution(fns []func(*pmm.Thread)) bool {
 	sc.crashed = false
 	sc.opCount = 0
@@ -505,48 +525,9 @@ func (sc *scenario) runExecution(fns []func(*pmm.Thread)) bool {
 	for i := range fns {
 		sc.startThread(i, fns[i])
 	}
-	s.live = n
-	sc.liveThreads = n
-	for s.live > 0 {
-		// Pick a waiting, unfinished thread. Deterministic given the seed.
-		s.ready = s.ready[:0]
-		for i := 0; i < s.n; i++ {
-			if s.waiting[i] && !s.finished[i] {
-				s.ready = append(s.ready, i)
-			}
-		}
-		if len(s.ready) == 0 {
-			panic("engine: scheduler deadlock (no runnable simulated thread)")
-		}
-		pick := s.ready[0]
-		if len(s.ready) > 1 {
-			pick = s.ready[sc.rng.Intn(len(s.ready))]
-		} else {
-			// Solo-run fast path: exactly one runnable thread means the
-			// scheduler has no decision to make (and, crucially, no rng
-			// draw), so grant a direct-run lease — the thread's sync()
-			// proceeds inline with no handoff until the lease ends.
-			s.leased = true
-		}
-		s.waiting[pick] = false
-		s.ops[pick].resume <- struct{}{}
-		ev := <-s.events
-		s.leased = false
-		if ev.done {
-			s.finished[ev.tid] = true
-			s.live--
-			sc.liveThreads = s.live
-			if p := s.panics[ev.tid]; p != nil {
-				panic(p) // re-raise the workload panic in the caller
-			}
-			if !sc.crashed {
-				// The thread completed normally; its buffered stores drain
-				// (the hardware eventually writes them to the cache).
-				sc.machine.DrainSB(vclock.TID(ev.tid))
-			}
-			continue
-		}
-		s.waiting[ev.tid] = true
+	sc.pick().resume <- struct{}{}
+	if p := <-s.done; p != nil {
+		panic(p) // re-raise the workload panic in the caller
 	}
 	return sc.crashed
 }
@@ -756,13 +737,19 @@ func truncVal(v uint64, size int) uint64 {
 }
 
 // threadOps implements pmm.Ops for one simulated thread: every operation
-// synchronizes with the scheduler, performs the TSO action, and applies the
+// is a scheduling point, performs the TSO action, and applies the
 // store-buffer eviction policy. Slots are pooled per scenario (schedState)
 // and reused across executions.
 type threadOps struct {
-	sc      *scenario
-	tid     vclock.TID
-	resume  chan struct{}
+	sc  *scenario
+	tid vclock.TID
+	// th is the workload's handle on this thread, pooled with the slot.
+	th     *pmm.Thread
+	resume chan struct{}
+	// waiting marks a parked thread: started (or yielded) and not yet
+	// picked. The ready set is exactly the waiting threads — a finished
+	// thread is never waiting again.
+	waiting bool
 	guarded bool
 }
 
@@ -773,28 +760,30 @@ var (
 
 func (t *threadOps) TID() int { return int(t.tid) }
 
-// sync yields to the scheduler and blocks until granted. At a crash the
-// grant returns with sc.crashed set and the thread unwinds. Under a
-// direct-run lease the thread already holds the grant and no other thread is
-// runnable, so sync proceeds inline — no handoff, no goroutine switch (a
-// crash mid-lease can only originate from this thread, via crashNow, which
-// unwinds directly).
+// sync is the thread's scheduling point. A thread that is the only live one
+// has no decision to make (and no rng draw), so it proceeds inline. Otherwise
+// it rejoins the ready set and picks; if the pick is another thread it
+// resumes that one and parks until picked in turn. At a crash the thread
+// returns from parking with sc.crashed set and unwinds.
 //
 // A crash discards every operation after it: an operation issued while the
 // thread unwinds (a deferred Store in the workload) must unwind too instead
-// of running inline on the leased fast path into the dead machine.
+// of running inline into the dead machine.
 func (t *threadOps) sync() {
 	sc := t.sc
 	if sc.crashed {
 		panic(errCrash)
 	}
-	if sc.sched.leased {
+	if s := &sc.sched; s.live == 1 {
 		sc.stats.DirectOps++
 	} else {
-		sc.sched.events <- threadEvent{tid: int(t.tid)}
-		<-t.resume
-		if sc.crashed {
-			panic(errCrash)
+		t.waiting = true
+		if next := sc.pick(); next != t {
+			next.resume <- struct{}{}
+			<-t.resume
+			if sc.crashed {
+				panic(errCrash)
+			}
 		}
 		sc.stats.Handoffs++
 	}
@@ -807,8 +796,8 @@ func (t *threadOps) sync() {
 
 // Spawn implements pmm.Spawner: a scheduling point, then the new thread is
 // registered — runnable from the caller's next operation. Registration
-// happens after sync so the spawned thread cannot be scheduled before the
-// spawn point itself is granted.
+// happens after sync so the spawned thread cannot be picked before the
+// spawn point itself is.
 func (t *threadOps) Spawn(fn func(*pmm.Thread)) {
 	t.sync()
 	t.sc.spawnThread(fn)

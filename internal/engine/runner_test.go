@@ -74,56 +74,3 @@ func TestCrashDiscardsDeferredOps(t *testing.T) {
 		}
 	}
 }
-
-// spawnProg is a workload whose sole worker starts a sibling mid-execution
-// (pmm.Thread.Go): the scheduler grants the solo lease, then must revoke it
-// the moment the second thread becomes runnable.
-func spawnProg() pmm.Program {
-	var a, b pmm.Addr
-	return pmm.Program{
-		Name: "spawn",
-		Setup: func(h *pmm.Heap) {
-			obj := h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
-			a, b = obj.F("a"), obj.F("b")
-			h.Init(a, 8, 0)
-			h.Init(b, 8, 0)
-		},
-		Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
-			t.Store64(a, 0x1111111111111111)
-			t.Go(func(c *pmm.Thread) {
-				c.Store64(b, 0x2222222222222222)
-				c.CLFlush(b)
-			})
-			t.Store64(a, 0x3333333333333333)
-			t.CLFlush(a)
-		}},
-		PostCrash: func(t *pmm.Thread) {
-			t.Load64(a)
-			t.Load64(b)
-		},
-	}
-}
-
-// TestDirectRunLeaseRevocation: a spawn mid-lease revokes it. The run must
-// count both DirectOps (the solo phases before the spawn and during
-// recovery) and Handoffs (the two-thread phase after it), the two must
-// split SimulatedOps exactly, and the verdict must match the re-simulating
-// reference run.
-func TestDirectRunLeaseRevocation(t *testing.T) {
-	opts := engine.Options{Mode: engine.ModelCheck, Prefix: true, Workers: 1}
-	res := engine.Run(spawnProg, opts)
-	s := res.Stats
-	if s.DirectOps == 0 {
-		t.Error("lease never fired before the spawn (DirectOps = 0)")
-	}
-	if s.Handoffs == 0 {
-		t.Error("lease was not revoked at the spawn (Handoffs = 0)")
-	}
-	if s.Handoffs+s.DirectOps != s.SimulatedOps {
-		t.Errorf("Handoffs (%d) + DirectOps (%d) != SimulatedOps (%d)", s.Handoffs, s.DirectOps, s.SimulatedOps)
-	}
-	opts.Checkpoint = engine.CheckpointOff
-	if ref := engine.Run(spawnProg, opts); ref.Report.String() != res.Report.String() {
-		t.Errorf("reports diverge from the re-simulating run:\n%s\nvs\n%s", res.Report, ref.Report)
-	}
-}

@@ -165,6 +165,31 @@ func TestBTreeSplitAndLookup(t *testing.T) {
 	}
 }
 
+// TestBTreeGrowsPastTwoLevels: 16 and 48 keys fill interior nodes, which
+// must split in turn (the tree grows a level at the root each time the
+// root is full). Both drivers run in random mode — a clean run, where
+// recovery finds every key, and a crash sweep — without a panic.
+func TestBTreeGrowsPastTwoLevels(t *testing.T) {
+	drivers := []struct {
+		name       string
+		structures int
+		mk         func(int, *Stats) func() pmm.Program
+	}{
+		{"Btree", 1, NewBTreeProg},
+		{"PMDK", 5, NewPMDKProg},
+	}
+	for _, keys := range []int{16, 48} {
+		for _, d := range drivers {
+			var stats Stats
+			engine.RunOne(d.mk(keys, &stats), engine.Options{Mode: engine.RandomMode, Prefix: true}, 0, engine.PersistLatest, 1)
+			if want := keys * d.structures; stats.Found != want || stats.Missing != 0 || stats.Wrong != 0 {
+				t.Errorf("%s %d keys: full-run stats = %+v, want %d/0/0", d.name, keys, stats, want)
+			}
+			engine.Run(d.mk(keys, nil), engine.Options{Mode: engine.RandomMode, Prefix: true, Seed: 1, Executions: 3})
+		}
+	}
+}
+
 func TestRBTreeColorsAndUpdates(t *testing.T) {
 	var v1, v2 uint64
 	mk := func() pmm.Program {

@@ -45,8 +45,9 @@ func bKey(i int) string   { return "key" + string(rune('0'+i)) }
 func bVal(i int) string   { return "val" + string(rune('0'+i)) }
 func bChild(i int) string { return "child" + string(rune('0'+i)) }
 
-// BTree is the PMDK btree example: a single-root order-4 tree where every
-// reachable mutation is transaction-logged.
+// BTree is the PMDK btree example: an order-4 B+-tree (values live in the
+// leaves; interior keys are separators) where every reachable mutation is
+// transaction-logged.
 type BTree struct {
 	pool *Pool
 	meta pmm.Struct // "btree_meta" {root}
@@ -74,26 +75,27 @@ func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
 	return n
 }
 
-// Insert adds a key/value pair. For simplicity the mini BTree splits only
-// leaves hanging off a one-level root, which is all the small drivers need.
+// Insert adds a key/value pair. Every full node on the way down is split
+// before the descent enters it (a full root first grows the tree by one
+// level), so the leaf the descent reaches always has room.
 func (bt *BTree) Insert(t *pmm.Thread, key, val uint64) {
 	rootAddr := t.Load64(bt.meta.F("root"))
-	root, _ := bt.pool.node(rootAddr)
-	if t.Load64(root.F("leaf")) == 1 {
-		if int(t.Load64(root.F("n"))) < BTreeOrder {
-			bt.leafInsert(t, root, key, val)
-			return
+	x, _ := bt.pool.node(rootAddr)
+	leaf := t.Load64(x.F("leaf")) == 1
+	if int(t.Load64(x.F("n"))) >= BTreeOrder {
+		x = bt.growRoot(t, x)
+		leaf = false
+	}
+	for !leaf {
+		pos, child := bt.routeChild(t, x, key)
+		if int(t.Load64(child.F("n"))) >= BTreeOrder {
+			bt.splitChild(t, x, child, pos)
+			_, child = bt.routeChild(t, x, key)
 		}
-		bt.splitRoot(t, root, key, val)
-		return
+		x = child
+		leaf = t.Load64(x.F("leaf")) == 1
 	}
-	// One-level interior root: route to the child, splitting it if full.
-	pos, child := bt.routeChild(t, root, key)
-	if int(t.Load64(child.F("n"))) >= BTreeOrder {
-		bt.splitChild(t, root, child, pos)
-		pos, child = bt.routeChild(t, root, key)
-	}
-	bt.leafInsert(t, child, key, val)
+	bt.leafInsert(t, x, key, val)
 }
 
 func (bt *BTree) routeChild(t *pmm.Thread, root pmm.Struct, key uint64) (int, pmm.Struct) {
@@ -109,30 +111,58 @@ func (bt *BTree) routeChild(t *pmm.Thread, root pmm.Struct, key uint64) (int, pm
 	return idx, c
 }
 
-// splitChild splits the full leaf at child position pos, moving its upper
-// half into a fresh sibling and tx-logging the interior-node shift.
-func (bt *BTree) splitChild(t *pmm.Thread, root, child pmm.Struct, pos int) {
+// growRoot links a fresh interior root above the full old root, then splits
+// the old root as the new root's only child: the tree grows one level. The
+// tree is consistent in between (a zero-key root routes every key to its
+// one child).
+func (bt *BTree) growRoot(t *pmm.Thread, old pmm.Struct) pmm.Struct {
+	root := bt.newNode(t, false)
+	t.Store64(root.F(bChild(0)), uint64(old.Base()))
+	t.Persist(root.Base(), root.Size())
+	tx := bt.pool.TxBegin(t)
+	tx.Set(bt.meta.F("root"), uint64(root.Base()))
+	tx.Commit()
+	bt.splitChild(t, root, old, 0)
+	return root
+}
+
+// splitChild splits the full node at child position pos of the non-full
+// interior node parent, moving its upper half into a fresh sibling and
+// tx-logging the parent's shift. A leaf keeps its lower half and copies its
+// largest key up as the separator; an interior node moves its middle key up
+// and hands the children right of it to the sibling.
+func (bt *BTree) splitChild(t *pmm.Thread, parent, child pmm.Struct, pos int) {
 	half := BTreeOrder / 2
-	sib := bt.newNode(t, true)
+	leaf := t.Load64(child.F("leaf")) == 1
+	sib := bt.newNode(t, leaf)
 	for i := half; i < BTreeOrder; i++ {
 		t.Store64(sib.F(bKey(i-half)), t.Load64(child.F(bKey(i))))
-		t.Store64(sib.F(bVal(i-half)), t.Load64(child.F(bVal(i))))
+		if leaf {
+			t.Store64(sib.F(bVal(i-half)), t.Load64(child.F(bVal(i))))
+		}
+	}
+	keep := half
+	if !leaf {
+		for i := half; i <= BTreeOrder; i++ {
+			t.Store64(sib.F(bChild(i-half)), t.Load64(child.F(bChild(i))))
+		}
+		keep = half - 1
 	}
 	t.Store64(sib.F("n"), uint64(BTreeOrder-half))
 	t.Persist(sib.Base(), sib.Size())
 	sep := t.Load64(child.F(bKey(half - 1)))
 
 	tx := bt.pool.TxBegin(t)
-	n := int(t.Load64(root.F("n")))
-	// Shift interior keys/children right of pos up by one.
+	n := int(t.Load64(parent.F("n")))
+	// Shift parent keys/children right of pos up by one.
 	for i := n - 1; i >= pos; i-- {
-		tx.Set(root.F(bKey(i+1)), t.Load64(root.F(bKey(i))))
-		tx.Set(root.F(bChild(i+2)), t.Load64(root.F(bChild(i+1))))
+		tx.Set(parent.F(bKey(i+1)), t.Load64(parent.F(bKey(i))))
+		tx.Set(parent.F(bChild(i+2)), t.Load64(parent.F(bChild(i+1))))
 	}
-	tx.Set(root.F(bKey(pos)), sep)
-	tx.Set(root.F(bChild(pos+1)), uint64(sib.Base()))
-	tx.Set(root.F("n"), uint64(n+1))
-	tx.Set(child.F("n"), uint64(half))
+	tx.Set(parent.F(bKey(pos)), sep)
+	tx.Set(parent.F(bChild(pos+1)), uint64(sib.Base()))
+	tx.Set(parent.F("n"), uint64(n+1))
+	tx.Set(child.F("n"), uint64(keep))
 	tx.Commit()
 }
 
@@ -153,44 +183,6 @@ func (bt *BTree) leafInsert(t *pmm.Thread, leaf pmm.Struct, key, val uint64) {
 	tx.Set(leaf.F(bVal(i+1)), val)
 	tx.Set(leaf.F("n"), uint64(n+1))
 	tx.Commit()
-}
-
-// splitRoot turns a full leaf root into an interior root with two leaves.
-func (bt *BTree) splitRoot(t *pmm.Thread, old pmm.Struct, key, val uint64) {
-	left := bt.newNode(t, true)
-	right := bt.newNode(t, true)
-	half := BTreeOrder / 2
-	// Copy halves into the fresh (unreachable) leaves with plain stores.
-	for i := 0; i < half; i++ {
-		t.Store64(left.F(bKey(i)), t.Load64(old.F(bKey(i))))
-		t.Store64(left.F(bVal(i)), t.Load64(old.F(bVal(i))))
-	}
-	for i := half; i < BTreeOrder; i++ {
-		t.Store64(right.F(bKey(i-half)), t.Load64(old.F(bKey(i))))
-		t.Store64(right.F(bVal(i-half)), t.Load64(old.F(bVal(i))))
-	}
-	t.Store64(left.F("n"), uint64(half))
-	t.Store64(right.F("n"), uint64(BTreeOrder-half))
-	t.Persist(left.Base(), left.Size())
-	t.Persist(right.Base(), right.Size())
-
-	sep := t.Load64(old.F(bKey(half - 1)))
-	interior := bt.newNode(t, false)
-	t.Store64(interior.F("n"), 1)
-	t.Store64(interior.F(bKey(0)), sep)
-	t.Store64(interior.F(bChild(0)), uint64(left.Base()))
-	t.Store64(interior.F(bChild(1)), uint64(right.Base()))
-	t.Persist(interior.Base(), interior.Size())
-
-	tx := bt.pool.TxBegin(t)
-	tx.Set(bt.meta.F("root"), uint64(interior.Base()))
-	tx.Commit()
-
-	if key <= sep {
-		bt.leafInsert(t, left, key, val)
-	} else {
-		bt.leafInsert(t, right, key, val)
-	}
 }
 
 // Get looks a key up.

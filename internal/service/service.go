@@ -353,7 +353,7 @@ func (m *Manager) runJob(job *Job) {
 	var body []byte
 	if res != nil {
 		m.statsMu.Lock()
-		addStats(&m.agg, res.TotalStats())
+		m.agg.Add(res.TotalStats())
 		m.statsMu.Unlock()
 		var err error
 		if body, err = res.Canonical().JSON(); err != nil && panicErr == nil {
@@ -586,22 +586,4 @@ func sortUnique(in []string) []string {
 		}
 	}
 	return out[:n]
-}
-
-// addStats accumulates one run's counters into the service-wide ledger.
-func addStats(dst *engine.Stats, s engine.Stats) {
-	dst.Stores += s.Stores
-	dst.Loads += s.Loads
-	dst.Flushes += s.Flushes
-	dst.Fences += s.Fences
-	dst.RMWs += s.RMWs
-	dst.SimulatedOps += s.SimulatedOps
-	dst.Handoffs += s.Handoffs
-	dst.DirectOps += s.DirectOps
-	dst.SnapshotBytes += s.SnapshotBytes
-	dst.JournalOps += s.JournalOps
-	dst.ClockInterned += s.ClockInterned
-	dst.EpochHits += s.EpochHits
-	dst.EpochMisses += s.EpochMisses
-	dst.DedupedScenarios += s.DedupedScenarios
 }

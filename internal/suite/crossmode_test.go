@@ -43,8 +43,8 @@ func behaviourOf(r *RunResult) behaviour {
 // one builds, so not even the per-kind operation counts may move.
 //
 // The run also checks the scheduler's accounting on every run: each
-// simulated operation either paid the handoff or ran under the solo-thread
-// lease, every run has a solo phase (single-threaded recovery at least), and
+// simulated operation either picked among live threads (a handoff) or ran
+// solo, every run has a solo phase (single-threaded recovery at least), and
 // the clock arena's epoch fast path fires.
 func TestCrossModeEquality(t *testing.T) {
 	base := Config{Workers: 2}
@@ -93,7 +93,7 @@ func checkAccounting(t *testing.T, name string, res *Result) {
 					name, b.Name, r.Variant, s.Handoffs, s.DirectOps, s.SimulatedOps)
 			}
 			if s.DirectOps == 0 {
-				t.Errorf("%s: %s/%s: the solo-thread lease never fired", name, b.Name, r.Variant)
+				t.Errorf("%s: %s/%s: no operation ran solo", name, b.Name, r.Variant)
 			}
 		}
 	}

@@ -259,20 +259,7 @@ func (r *Result) TotalStats() engine.Stats {
 	var s engine.Stats
 	for _, b := range r.Benchmarks {
 		for _, run := range b.Runs {
-			s.Stores += run.Stats.Stores
-			s.Loads += run.Stats.Loads
-			s.Flushes += run.Stats.Flushes
-			s.Fences += run.Stats.Fences
-			s.RMWs += run.Stats.RMWs
-			s.SimulatedOps += run.Stats.SimulatedOps
-			s.Handoffs += run.Stats.Handoffs
-			s.DirectOps += run.Stats.DirectOps
-			s.SnapshotBytes += run.Stats.SnapshotBytes
-			s.JournalOps += run.Stats.JournalOps
-			s.ClockInterned += run.Stats.ClockInterned
-			s.EpochHits += run.Stats.EpochHits
-			s.EpochMisses += run.Stats.EpochMisses
-			s.DedupedScenarios += run.Stats.DedupedScenarios
+			s.Add(run.Stats)
 		}
 	}
 	return s

@@ -22,7 +22,7 @@
 //
 // The detector is an analysis.Pass: it registers itself as "xfd" and runs
 // through the engine's analysis stack (-analyses=yashme,xfd), riding the
-// same workers, solo-run leases, delta checkpoints and crash-image
+// same workers, scheduler, delta checkpoints and crash-image
 // memoization as the Yashme detector. Like the original XFDetector it only
 // ever classifies reads of THE GIVEN execution — no prefix derivation, no
 // candidate read sets; the deliberately modest analysis is the comparison.
