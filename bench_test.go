@@ -10,6 +10,7 @@ package yashme_test
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"runtime"
 	"testing"
@@ -25,6 +26,12 @@ import (
 	// related-work comparison select it via Options.Analyses).
 	_ "yashme/internal/analysis/all"
 )
+
+// suiteArtifact names the file BenchmarkSuiteTable3 writes its artifact to
+// (the format of the committed BENCH_suite.json, which cmd/benchguard
+// compares against). Empty — the default — writes nothing, so running the
+// benchmarks never rewrites a tracked file.
+var suiteArtifact = flag.String("suite-artifact", "", "write the BenchmarkSuiteTable3 artifact (BENCH_suite.json format) to this path")
 
 // mustSpec fetches a registered workload by name (the suite import links
 // every benchmark's registration into the test binary).
@@ -129,10 +136,12 @@ func BenchmarkTable3Parallel(b *testing.B) {
 // are identical in the on and off modes (the equivalence contract); the
 // simops metric is the checkpoint layer's win (snapshots remove the O(C·n)
 // pre-crash re-simulation) and the handoffs/direct_ops split shows how much
-// of the work ran solo, with no pick. The parent benchmark writes
-// the unified BENCH_suite.json artifact — aggregate plus per-benchmark
-// breakdown per mode — so the perf trajectory is tracked across changes;
-// cmd/benchguard compares a fresh run against the committed artifact in CI.
+// of the work ran solo, with no pick, and gc/op counts the garbage
+// collections one sweep triggers. With -suite-artifact=<path> the parent
+// benchmark writes the unified artifact — aggregate plus per-benchmark
+// breakdown per mode, in the committed BENCH_suite.json's format — so the
+// perf trajectory is tracked across changes; cmd/benchguard compares such a
+// fresh run against the committed artifact in CI.
 func BenchmarkSuiteTable3(b *testing.B) {
 	type benchStat struct {
 		Races            int    `json:"races"`
@@ -164,6 +173,7 @@ func BenchmarkSuiteTable3(b *testing.B) {
 		XFDRaces         float64               `json:"xfd_races,omitempty"`
 		AllocsPerOp      uint64                `json:"allocs_per_op"`
 		BytesPerOp       uint64                `json:"bytes_per_op"`
+		GCPerOp          float64               `json:"gc_per_op"`
 		Benchmarks       map[string]*benchStat `json:"benchmarks"`
 	}
 	results := map[string]*measurement{}
@@ -218,6 +228,8 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			m.Races = float64(races)
 			m.AllocsPerOp = (after.Mallocs - before.Mallocs) / uint64(b.N)
 			m.BytesPerOp = (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
+			m.GCPerOp = float64(after.NumGC-before.NumGC) / float64(b.N)
+			b.ReportMetric(m.GCPerOp, "gc/op")
 			m.XFDRaces = 0 // the harness may invoke this closure several times
 			for _, bench := range res.Benchmarks {
 				run := bench.Run(suite.RunRaces)
@@ -266,6 +278,9 @@ func BenchmarkSuiteTable3(b *testing.B) {
 			b.StartTimer()
 		})
 	}
+	if *suiteArtifact == "" {
+		return
+	}
 	artifact := struct {
 		Experiment string                  `json:"experiment"`
 		Benchmark  string                  `json:"benchmark"`
@@ -279,8 +294,8 @@ func BenchmarkSuiteTable3(b *testing.B) {
 	if err != nil {
 		b.Fatalf("marshal artifact: %v", err)
 	}
-	if err := os.WriteFile("BENCH_suite.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_suite.json: %v", err)
+	if err := os.WriteFile(*suiteArtifact, append(data, '\n'), 0o644); err != nil {
+		b.Fatalf("write %s: %v", *suiteArtifact, err)
 	}
 }
 

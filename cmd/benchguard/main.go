@@ -1,9 +1,10 @@
 // Command benchguard is the CI perf canary for the suite's Table 3 sweep:
-// it compares a freshly generated BENCH_suite.json against the committed
-// baseline and exits non-zero if correctness or performance regressed.
+// it compares a freshly generated artifact in the BENCH_suite.json format
+// against the committed baseline and exits non-zero if correctness or
+// performance regressed.
 //
-//	go test -run xxx -bench BenchmarkSuiteTable3 .
-//	go run ./cmd/benchguard -baseline <committed>.json -fresh BENCH_suite.json
+//	go test -run xxx -bench BenchmarkSuiteTable3 . -suite-artifact=/tmp/BENCH_suite.json
+//	go run ./cmd/benchguard -baseline BENCH_suite.json -fresh /tmp/BENCH_suite.json
 //
 // The checks:
 //

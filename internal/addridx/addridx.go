@@ -109,30 +109,51 @@ func (t *Table[T]) Reserve(n int) {
 // copied shallowly: reference-typed state must be immutable or cloned by the
 // caller.
 func (t *Table[T]) Clone() Table[T] {
-	if len(t.slots) == 0 {
-		return Table[T]{}
-	}
-	n := make([]T, len(t.slots))
-	copy(n, t.slots)
-	return Table[T]{slots: n}
+	var c Table[T]
+	c.CopyFrom(t, 0)
+	return c
 }
 
-// CloneCap is Clone with capacity for at least n slots: a caller about to
-// grow the copy to a known bound (a journal replay) allocates once instead
-// of cloning and then reallocating.
-func (t *Table[T]) CloneCap(n int) Table[T] {
-	if n < len(t.slots) {
-		n = len(t.slots)
-	}
+// CopyFrom makes t an independent flat copy of src with capacity for at
+// least n slots (a caller about to grow the copy to a known bound, such as a
+// journal replay, allocates once instead of copying and then regrowing).
+// t's backing array is reused when it is large enough — the point of the
+// method: a scenario shell copies a snapshot's table into the previous
+// scenario's array instead of allocating one. Spare capacity past src's
+// length is zeroed, since growth re-exposes it. Slot values are copied
+// shallowly.
+func (t *Table[T]) CopyFrom(src *Table[T], n int) { t.slots = copySlots(t.slots, src.slots, n) }
+
+// copySlots copies src into dst's backing array (or a fresh one with
+// capacity max(n, len(src)) when dst's is too small), zeroing everything
+// past len(src).
+func copySlots[T any](dst, src []T, n int) []T {
+	n = max(n, len(src))
 	if n > maxSlots {
 		n = maxSlots
 	}
-	if n == 0 {
-		return Table[T]{}
+	if n > cap(dst) {
+		s := make([]T, len(src), n)
+		copy(s, src)
+		return s
 	}
-	s := make([]T, len(t.slots), n)
-	copy(s, t.slots)
-	return Table[T]{slots: s}
+	s := dst[:cap(dst)]
+	copy(s, src)
+	clear(s[len(src):])
+	return s[:len(src)]
+}
+
+// Scribble overwrites every slot up to the full capacity with values from
+// gen. It is a test aid for code that reuses tables across owners: after a
+// scribble, any slot a reset forgets to overwrite or zero reads as garbage
+// instead of a plausible stale value.
+func (t *Table[T]) Scribble(gen func() T) { scribble(t.slots, gen) }
+
+func scribble[T any](slots []T, gen func() T) {
+	s := slots[:cap(slots)]
+	for i := range s {
+		s[i] = gen()
+	}
 }
 
 // Len returns one past the highest slot ever grown to.
@@ -200,29 +221,46 @@ func (t *LineTable[T]) Reserve(n int) {
 
 // Clone returns an independent flat copy; slot values are copied shallowly.
 func (t *LineTable[T]) Clone() LineTable[T] {
-	if len(t.slots) == 0 {
-		return LineTable[T]{}
-	}
-	n := make([]T, len(t.slots))
-	copy(n, t.slots)
-	return LineTable[T]{slots: n}
+	var c LineTable[T]
+	c.CopyFrom(t, 0)
+	return c
 }
 
-// CloneCap is Clone with capacity for at least n lines; see Table.CloneCap.
-func (t *LineTable[T]) CloneCap(n int) LineTable[T] {
-	if n < len(t.slots) {
-		n = len(t.slots)
+// CopyFrom makes t a flat copy of src with capacity for at least n lines,
+// reusing t's backing array; see Table.CopyFrom.
+func (t *LineTable[T]) CopyFrom(src *LineTable[T], n int) { t.slots = copySlots(t.slots, src.slots, n) }
+
+// CopyEachFrom is CopyFrom for reference-typed slots: each line's new value
+// is cp(old, v), where old is the value t held at that line before the
+// copy (T's zero value past t's old capacity) and v is src's. A cp that
+// appends v's elements onto old[:0] detaches the copy from src while
+// reusing t's per-line arrays.
+func (t *LineTable[T]) CopyEachFrom(src *LineTable[T], n int, cp func(old, v T) T) {
+	n = min(max(n, len(src.slots)), maxSlots)
+	s := t.slots[:cap(t.slots)]
+	if n > len(s) {
+		g := make([]T, n)
+		copy(g, s)
+		s = g
 	}
-	if n > maxSlots {
-		n = maxSlots
+	for i, v := range src.slots {
+		s[i] = cp(s[i], v)
 	}
-	if n == 0 {
-		return LineTable[T]{}
-	}
-	s := make([]T, len(t.slots), n)
-	copy(s, t.slots)
-	return LineTable[T]{slots: s}
+	clear(s[len(src.slots):])
+	t.slots = s[:len(src.slots)]
 }
+
+// Reset empties the table for reuse, keeping the backing array; see
+// Table.Reset.
+func (t *LineTable[T]) Reset() {
+	s := t.slots[:cap(t.slots)]
+	clear(s)
+	t.slots = s[:0]
+}
+
+// Scribble overwrites every slot up to the full capacity; see
+// Table.Scribble.
+func (t *LineTable[T]) Scribble(gen func() T) { scribble(t.slots, gen) }
 
 // Len returns one past the highest slot ever grown to.
 func (t *LineTable[T]) Len() int { return len(t.slots) }

@@ -99,3 +99,57 @@ func TestLineTable(t *testing.T) {
 		t.Fatalf("ForEach visited %d slots, want %d", n, int(l)+1)
 	}
 }
+
+// TestResetsZeroSpareCapacity: a table reused through CopyFrom, CopyEachFrom
+// or Reset must read as zero everywhere past the copied length, whatever the
+// reused array held before — growSlots reslices into that spare capacity and
+// relies on it being zeroed.
+func TestResetsZeroSpareCapacity(t *testing.T) {
+	var src Table[int32]
+	src.Set(3, 7)
+	var tab Table[int32]
+	tab.Set(200, 1)
+	tab.Scribble(func() int32 { return -1 })
+	tab.CopyFrom(&src, 0)
+	if tab.Len() != 4 || tab.At(3) != 7 {
+		t.Fatalf("CopyFrom: len %d, slot 3 = %d", tab.Len(), tab.At(3))
+	}
+	for a := pmm.Addr(4); a <= 200; a++ {
+		if got := *tab.Ptr(a); got != 0 {
+			t.Fatalf("CopyFrom left %d in spare slot %d", got, a)
+		}
+	}
+	tab.Scribble(func() int32 { return -1 })
+	tab.Reset()
+	for a := pmm.Addr(0); a <= 200; a++ {
+		if got := *tab.Ptr(a); got != 0 {
+			t.Fatalf("Reset left %d in slot %d", got, a)
+		}
+	}
+
+	var lsrc LineTable[[]pmm.Addr]
+	lsrc.Set(1, []pmm.Addr{64})
+	var lines LineTable[[]pmm.Addr]
+	lines.Set(9, nil)
+	lines.Scribble(func() []pmm.Addr { return []pmm.Addr{0xbad} })
+	lines.CopyEachFrom(&lsrc, 0, func(old, v []pmm.Addr) []pmm.Addr { return append(old[:0], v...) })
+	if got := lines.At(1); len(got) != 1 || got[0] != 64 {
+		t.Fatalf("CopyEachFrom: line 1 = %v", got)
+	}
+	for l := pmm.Line(2); l <= 9; l++ {
+		if got := *lines.Ptr(l); got != nil {
+			t.Fatalf("CopyEachFrom left %v in spare line %d", got, l)
+		}
+	}
+}
+
+// TestCopyFromReusesArray: a copy into a table whose array is large enough
+// allocates nothing — the point of CopyFrom.
+func TestCopyFromReusesArray(t *testing.T) {
+	var src, tab Table[int32]
+	src.Set(10, 1)
+	tab.Set(100, 2)
+	if n := testing.AllocsPerRun(10, func() { tab.CopyFrom(&src, 50) }); n != 0 {
+		t.Fatalf("CopyFrom into a large enough table allocated %v times", n)
+	}
+}

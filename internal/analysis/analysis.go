@@ -154,20 +154,31 @@ type Stack struct {
 
 // NewStack validates names against the registry and builds the stack.
 // nil or empty names selects the default, {"yashme"}.
-func NewStack(names []string, cfg Config) (*Stack, error) {
+func NewStack(names []string, cfg Config) (*Stack, error) { return NewStackOn(nil, names, cfg) }
+
+// NewStackOn is NewStack reusing prev, a stack no longer in use (nil
+// allocates, which is NewStack): prev's core detector is reset for cfg
+// (core.Detector.Reset) and its own storage recycled instead of allocated —
+// how the engine's scenario shells start a scenario from scratch.
+func NewStackOn(prev *Stack, names []string, cfg Config) (*Stack, error) {
 	if len(names) == 0 {
 		names = []string{Yashme}
 	}
-	s := &Stack{
-		names: append([]string(nil), names...),
-		model: core.New(core.Config{
-			Prefix:    cfg.Prefix,
-			EADR:      cfg.EADR,
-			Benchmark: cfg.Benchmark,
-			Labeler:   cfg.Labeler,
-			Suppress:  cfg.Suppress,
-		}),
+	mcfg := core.Config{
+		Prefix:    cfg.Prefix,
+		EADR:      cfg.EADR,
+		Benchmark: cfg.Benchmark,
+		Labeler:   cfg.Labeler,
+		Suppress:  cfg.Suppress,
 	}
+	var model *core.Detector
+	if prev != nil {
+		model = prev.model
+		model.Reset(mcfg)
+	} else {
+		model = core.New(mcfg)
+	}
+	var extras []Pass
 	seen := make(map[string]bool, len(names))
 	for _, name := range names {
 		if seen[name] {
@@ -175,7 +186,6 @@ func NewStack(names []string, cfg Config) (*Stack, error) {
 		}
 		seen[name] = true
 		if name == Yashme {
-			s.yashme = true
 			continue
 		}
 		regMu.Lock()
@@ -184,22 +194,27 @@ func NewStack(names []string, cfg Config) (*Stack, error) {
 		if !ok {
 			return nil, fmt.Errorf("analysis: unknown pass %q (have %v)", name, Names())
 		}
-		s.extras = append(s.extras, f(cfg))
+		extras = append(extras, f(cfg))
 	}
-	s.wireListener()
-	return s, nil
+	return Rebuild(prev, names, model, extras), nil
 }
 
 // Rebuild reassembles a stack around already-materialized components — the
 // checkpoint layer's resume path, where the model comes from a snapshot's
 // keyframe (or keyframe + journal replay) and the extras are fresh clones
 // of the snapshot's pass templates. names must be the same selection the
-// snapshot was captured under.
-func Rebuild(names []string, model *core.Detector, extras []Pass) *Stack {
+// snapshot was captured under. prev, when non-nil, is a stack no longer in
+// use whose own storage is recycled for the result.
+func Rebuild(prev *Stack, names []string, model *core.Detector, extras []Pass) *Stack {
 	if len(names) == 0 {
 		names = []string{Yashme}
 	}
-	s := &Stack{names: append([]string(nil), names...), model: model, extras: extras}
+	s := prev
+	if s == nil {
+		s = &Stack{}
+	}
+	s.names = append(s.names[:0], names...)
+	s.model, s.extras, s.yashme = model, extras, false
 	for _, name := range names {
 		if name == Yashme {
 			s.yashme = true
@@ -216,7 +231,12 @@ func (s *Stack) wireListener() {
 		s.listener = s.model
 		return
 	}
-	s.listener = &fanout{model: s.model, extras: s.extras}
+	f, ok := s.listener.(*fanout)
+	if !ok {
+		f = &fanout{}
+	}
+	f.model, f.extras = s.model, s.extras
+	s.listener = f
 }
 
 // Model returns the always-present Yashme core detector. The engine uses it
@@ -280,7 +300,12 @@ func (s *Stack) Reports() []*report.Set {
 
 // PrimaryReport is the first selected pass's report — what engine.Result
 // surfaces as Result.Report.
-func (s *Stack) PrimaryReport() *report.Set { return s.Reports()[0] }
+func (s *Stack) PrimaryReport() *report.Set {
+	if s.names[0] == Yashme {
+		return s.model.Report()
+	}
+	return s.extras[0].Report()
+}
 
 // CloneExtras deep-copies the extra passes (snapshot capture and resume).
 // Returns nil for a yashme-only stack.

@@ -122,3 +122,51 @@ func TestCloneNoAliasing(t *testing.T) {
 		t.Errorf("clone CVpre = %v, want its own observation of seq 2 only", nd.ClockArena().At(ce.cvpre))
 	}
 }
+
+// TestCloneIntoScribbledDetector: cloning into a detector whose arrays hold
+// garbage (Scribble) and a deeper execution stack must equal a fresh Clone —
+// same signatures, reports and stack — and leave every table's spare
+// capacity zeroed for later growth.
+func TestCloneIntoScribbledDetector(t *testing.T) {
+	r := newRig(true)
+	r.m.EnqueueStore(0, addrX, 8, 1, false, false)
+	r.m.EnqueueCLFlush(0, addrX)
+	r.m.DrainSB(0)
+
+	// A used detector: a wider address range, two crashes and a race.
+	used := newRig(true)
+	for a := pmm.Addr(64); a < 2048; a += 8 {
+		used.m.EnqueueStore(0, a, 8, 1, false, false)
+	}
+	used.m.DrainSB(0)
+	ue := used.d.Current()
+	used.d.EndExecution(used.m.CurSeq())
+	used.d.CheckCandidate(ue, ue.Latest(64), false)
+	used.d.EndExecution(used.m.CurSeq())
+	used.d.Scribble()
+
+	got := r.d.CloneInto(used.d)
+	want := r.d.Clone()
+	if len(got.Executions()) != len(want.Executions()) {
+		t.Fatalf("stack depth %d, want %d", len(got.Executions()), len(want.Executions()))
+	}
+	for i, e := range got.Executions() {
+		w := want.Executions()[i]
+		if gs, ws := e.AppendStateSignature(nil), w.AppendStateSignature(nil); string(gs) != string(ws) {
+			t.Fatalf("exec %d signature differs after CloneInto", i)
+		}
+		for a := pmm.Addr(e.storeTab.Len()); a < 2048; a += 8 {
+			if *e.storeTab.Ptr(a) != 0 || *e.persistTab.Ptr(a) != 0 {
+				t.Fatalf("exec %d: spare slot %d not zeroed", i, a)
+			}
+		}
+	}
+	if got.Report().String() != want.Report().String() || got.Report().RawCount != want.Report().RawCount {
+		t.Fatalf("report after CloneInto = %q, want %q", got.Report(), want.Report())
+	}
+	// The parked executions come back reset.
+	got.EndExecution(r.m.CurSeq())
+	if e := got.Current(); e.Latest(64) != nil || len(e.StoredAddrs()) != 0 || e.CrashSeq() != 0 {
+		t.Fatal("a reused parked execution kept state from its previous use")
+	}
+}

@@ -127,6 +127,10 @@ type Execution struct {
 	// StoreRef r names arena[r-1]. Records are immutable once committed
 	// (their mutable side lives in meta), so clones share the arena.
 	arena []StoreRecord
+	// sharedArena marks arena as a capped view of another execution's (or
+	// a journal's) records: appends reallocate it privately, and a reset
+	// drops it instead of reusing the array.
+	sharedArena bool
 	// meta holds the mutable per-record state, parallel to the arena.
 	meta []recMeta
 	// flushArena backs the per-record flushmap chains.
@@ -147,10 +151,6 @@ type Execution struct {
 	persistTab addridx.Table[StoreRef]
 	// crashSeq: σ at the crash ending this execution (0 while running).
 	crashSeq vclock.Seq
-}
-
-func newExecution(id int) *Execution {
-	return &Execution{ID: id}
 }
 
 // ByRef resolves a StoreRef to its record, nil for the zero ref.
@@ -272,7 +272,7 @@ type Detector struct {
 	// arena holds every clock snapshot the detector's state refers to:
 	// record stamps, per-line lastflush refs and cvpre all resolve here.
 	// The engine points the simulating tso.Machine at the same arena
-	// (Machine.UseArena) so stamps cross the listener boundary by value.
+	// (Machine.Reset) so stamps cross the listener boundary by value.
 	arena *vclock.Arena
 	// journal, when attached (SetJournal), records every mutation of the
 	// current execution so the engine's delta checkpoints can replay them
@@ -283,7 +283,7 @@ type Detector struct {
 // New returns a detector with an initial (first pre-crash) execution.
 func New(cfg Config) *Detector {
 	d := &Detector{cfg: cfg, report: report.NewSet(), arena: vclock.NewArena()}
-	d.execs = append(d.execs, newExecution(0))
+	d.execs = append(d.execs, &Execution{})
 	return d
 }
 
@@ -304,8 +304,8 @@ func (d *Detector) Executions() []*Execution { return d.execs }
 // fresh execution for the post-crash run.
 func (d *Detector) EndExecution(crashSeq vclock.Seq) *Execution {
 	d.Current().crashSeq = crashSeq
-	e := newExecution(len(d.execs))
-	d.execs = append(d.execs, e)
+	e := d.pushExecution()
+	e.reset(len(d.execs) - 1)
 	return e
 }
 

@@ -106,7 +106,7 @@ func (d *Detector) ReplayJournal(j *Journal, lo, hi int) {
 		op := &j.ops[i]
 		switch op.Kind {
 		case JournalStore:
-			e.arena = j.arena[:op.Target:op.Target]
+			e.arena, e.sharedArena = j.arena[:op.Target:op.Target], true
 			e.meta = append(e.meta, recMeta{})
 			rec := &e.arena[op.Target-1]
 			e.storeTab.Set(rec.Addr, rec.ref)
@@ -122,15 +122,16 @@ func (d *Detector) ReplayJournal(j *Journal, lo, hi int) {
 	}
 }
 
-// CloneReplay clones the detector and replays journal ops [lo, hi) onto the
+// CloneReplayInto clones the detector into dst (with CloneInto's reuse and
+// precondition; nil dst allocates) and replays journal ops [lo, hi) onto the
 // clone's current execution in one sized pass: the segment is pre-scanned
 // for its append counts and high-water address, so the meta and flush
-// arenas and every table of the replayed execution allocate once at their
-// final sizes instead of being cloned at keyframe size and regrown during
-// replay (the store arena is shared either way). Bit-equivalent to Clone
-// followed by ReplayJournal — this is the checkpoint layer's delta
-// materialization fast path.
-func (d *Detector) CloneReplay(j *Journal, lo, hi int) *Detector {
+// arenas and every table of the replayed execution are sized once for the
+// replay instead of being cloned at keyframe size and regrown during it
+// (the store arena is shared either way). Bit-equivalent to Clone followed
+// by ReplayJournal — this is the checkpoint layer's delta materialization
+// fast path.
+func (d *Detector) CloneReplayInto(dst *Detector, j *Journal, lo, hi int) *Detector {
 	var stores, flushes int
 	var maxAddr pmm.Addr
 	for i := lo; i < hi; i++ {
@@ -147,17 +148,17 @@ func (d *Detector) CloneReplay(j *Journal, lo, hi int) *Detector {
 			maxAddr = a
 		}
 	}
-	nd := &Detector{cfg: d.cfg, report: d.report.Clone(), arena: d.arena.Clone()}
-	nd.execs = make([]*Execution, len(d.execs))
+	dst = d.cloneHeader(dst)
+	last := len(d.execs) - 1
 	for i, e := range d.execs {
-		if i == len(d.execs)-1 {
-			nd.execs[i] = e.cloneSized(stores, flushes, maxAddr)
+		if i == last {
+			e.cloneInto(dst.pushExecution(), stores, flushes, maxAddr)
 		} else {
-			nd.execs[i] = e.clone()
+			e.cloneInto(dst.pushExecution(), 0, 0, 0)
 		}
 	}
-	nd.ReplayJournal(j, lo, hi)
-	return nd
+	dst.ReplayJournal(j, lo, hi)
+	return dst
 }
 
 // appendU64 serializes v little-endian into buf.

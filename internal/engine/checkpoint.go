@@ -57,11 +57,12 @@
 //     tooling, not for this layer).
 //
 // Snapshots are read-only templates shared by every scenario of a schedule
-// (including concurrent workers): a resume clones the detector again (for a
-// delta: clones the keyframe and replays the journal, both read-only after
-// the probe seals the journal), clones the image table again, and copies the
-// heap state and event log into scenario-private objects. Nothing ever
-// mutates a snapshot after capture.
+// (including concurrent workers): a resume copies the detector into the
+// resuming scenario's own tables (for a delta: copies the keyframe and
+// replays the journal, both read-only after the probe seals the journal),
+// copies the image table likewise, and copies the heap state and event log
+// into scenario-private objects. Nothing ever mutates a snapshot after
+// capture.
 //
 // The same mechanism handles the recursive cases: a primary scenario that
 // expands recovery crashes captures snapshots of its own recovery execution
@@ -96,8 +97,15 @@ type countingSource struct {
 	// frozen rng) and the first mutation copies it; scenarios that never
 	// draw — every solo-threaded resume under a deterministic persist
 	// policy — skip the register copy entirely.
-	state    *rngState
-	cow      bool
+	state *rngState
+	cow   bool
+	// own is the register this source copies into — allocated on its first
+	// seeding or materialization and kept across shareFrom, so a scenario
+	// shell's source reuses one register for all its scenarios.
+	own *rngState
+	// seeder is the stdlib source Seed extracts a freshly seeded register
+	// from, kept so reseeding a shell's source allocates nothing.
+	seeder   rand.Source
 	mirrored bool
 	src      rand.Source   // fallback only
 	s64      rand.Source64 // nil if src lacks Uint64
@@ -109,7 +117,7 @@ func newCountingSource(seed int64) *countingSource {
 	cs := &countingSource{}
 	st := new(rngState)
 	if extractRngState(src, st) {
-		cs.state, cs.mirrored = st, true
+		cs.state, cs.own, cs.seeder, cs.mirrored = st, st, src, true
 		return cs
 	}
 	cs.src = src
@@ -128,26 +136,27 @@ func (c *countingSource) fork() *countingSource {
 	}
 	st := new(rngState)
 	*st = *c.state
-	return &countingSource{state: st, mirrored: true, n: c.n}
+	return &countingSource{state: st, own: st, mirrored: true, n: c.n}
 }
 
-// forkShared returns a copy-on-write fork positioned at the current stream
-// point: the register copy is deferred to the first draw. The receiver must
-// stay read-only for the fork's lifetime — it is only called on snapshot
-// rngs, which are frozen by the snapshot immutability contract.
-func (c *countingSource) forkShared() *countingSource {
-	if c == nil || !c.mirrored {
-		return nil
-	}
-	return &countingSource{state: c.state, cow: true, mirrored: true, n: c.n}
+// shareFrom repositions c, in place, as a copy-on-write fork of the mirrored
+// donor at its stream point: the register copy is deferred to c's first
+// draw (materialize), into c's own register when it has one. The donor must
+// stay read-only meanwhile — it is always a snapshot's rng, frozen by the
+// snapshot immutability contract.
+func (c *countingSource) shareFrom(donor *countingSource) {
+	c.state, c.cow, c.mirrored, c.n = donor.state, true, true, donor.n
+	c.src, c.s64 = nil, nil
 }
 
 // materialize resolves a copy-on-write fork before its first mutation.
 func (c *countingSource) materialize() {
 	if c.cow {
-		st := new(rngState)
-		*st = *c.state
-		c.state, c.cow = st, false
+		if c.own == nil {
+			c.own = new(rngState)
+		}
+		*c.own = *c.state
+		c.state, c.cow = c.own, false
 	}
 }
 
@@ -178,10 +187,16 @@ func (c *countingSource) Uint64() uint64 {
 
 func (c *countingSource) Seed(seed int64) {
 	if c.mirrored {
-		if c.cow {
-			c.state, c.cow = new(rngState), false
+		if c.own == nil {
+			c.own = new(rngState)
 		}
-		extractRngState(rand.NewSource(seed), c.state)
+		if c.seeder == nil {
+			c.seeder = rand.NewSource(seed)
+		} else {
+			c.seeder.Seed(seed)
+		}
+		c.state, c.cow = c.own, false
+		extractRngState(c.seeder, c.state)
 	} else {
 		c.src.Seed(seed)
 	}
@@ -261,14 +276,15 @@ type snapshot struct {
 }
 
 // materializeDetector rebuilds the full detector state at the snapshot's
-// point. Safe for concurrent use by several resuming workers: the keyframe
-// detector and the sealed journal are read-only, and the replay appends
-// only into the fresh clone's detached arenas and tables.
-func (snap *snapshot) materializeDetector() *core.Detector {
+// point into dst, a detector no longer in use (nil allocates). Safe for
+// concurrent use by several resuming workers: the keyframe detector and the
+// sealed journal are read-only, and the replay appends only into the
+// clone's detached arenas and tables.
+func (snap *snapshot) materializeDetector(dst *core.Detector) *core.Detector {
 	if snap.base == nil {
-		return snap.det.Clone()
+		return snap.det.CloneInto(dst)
 	}
-	return snap.base.det.CloneReplay(snap.journal, snap.base.jMark, snap.jMark)
+	return snap.base.det.CloneReplayInto(dst, snap.journal, snap.base.jMark, snap.jMark)
 }
 
 // sigClass is one equivalence class of crash points under the state
@@ -473,18 +489,6 @@ func newSnapshotShell(sc *scenario, point int) *snapshot {
 	return snap
 }
 
-// captureSnapshot is a standalone full capture — what a keyframe costs.
-// The sink's capture path above shares the image and rng per sink and emits
-// deltas between keyframes; this entry point remains for benchmarks and as
-// the reference capture.
-func captureSnapshot(sc *scenario, point int) *snapshot {
-	snap := newSnapshotShell(sc, point)
-	snap.rng = sc.rngSrc.fork()
-	snap.det = sc.det.Clone()
-	snap.image = sc.image.clone()
-	return snap
-}
-
 // classify serializes the probe's image-determining state at the point and
 // files it into the signature classes: a byte-identical earlier point makes
 // this one a duplicate. The serialized state is exactly what the resumed
@@ -549,89 +553,27 @@ func fnv64a(b []byte) uint64 {
 	return h
 }
 
-// resumeScenario builds a scenario positioned exactly where a from-scratch
-// run of (makeProg, opts, p, persist, snap.seed) would be at snap's crash
-// point, without simulating the prefix. The caller continues with
-// sc.finish(snap.crashSeq).
-//
-// The program's closures capture heap handles, so the program and its Setup
-// are re-run against a fresh heap first; the snapshot's heap state is then
-// grafted into that heap (pmm.Heap.Restore), keeping the handles valid. If
-// Setup does not reproduce the snapshot's allocation fingerprint —
-// a nondeterministic program — resumption is refused and the caller falls
-// back to a from-scratch run, deterministically for every worker count.
-func resumeScenario(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy) (*scenario, bool) {
-	prog := makeProg()
-	heap := pmm.NewHeap()
-	if prog.Setup != nil {
-		prog.Setup(heap)
+// runPlanned runs one crash scenario on sh, resuming from snap when possible
+// and falling back to a from-scratch run otherwise (snap == nil,
+// checkpointing off, or a fingerprint mismatch). sh is the calling
+// goroutine's scenario shell, or nil when the scenario's state must outlive
+// it; traced scenarios always get a fresh scenario (their recorder's event
+// log is theirs). configure, when non-nil, is applied to the scenario before
+// any execution — both paths — so read-choice overrides and recovery sinks
+// attach uniformly.
+func runPlanned(sh *scenario, makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy, seed int64, configure func(*scenario)) *scenario {
+	sc := sh
+	if sc == nil || opts.Trace {
+		sc = new(scenario)
 	}
-	if heap.AllocCount() != snap.setupAllocs || heap.NextFree() != snap.setupNext {
-		return nil, false
-	}
-	heap.Restore(snap.heap)
-	if opts.EADR {
-		persist = PersistLatest
-	}
-	det := snap.materializeDetector()
-	stack := analysis.Rebuild(opts.Analyses, det, analysis.CloneExtras(snap.extras))
-	stack.SetLabeler(heap.LabelFor)
-	src := snap.rng.forkShared()
-	if src == nil {
-		src = newCountingSource(snap.seed)
-		src.skip(snap.rngDraws)
-	}
-	sc := &scenario{
-		opts:        opts,
-		prog:        prog,
-		heap:        heap,
-		stack:       stack,
-		det:         det,
-		rng:         rand.New(src),
-		rngSrc:      src,
-		seed:        snap.seed,
-		persist:     persist,
-		crashPlan:   p,
-		crashPoints: make(map[int]int, len(snap.crashPoints)),
-		execIdx:     snap.execIdx,
-		image:       snap.image.clone(),
-		stats:       snap.stats,
-		setupAllocs: snap.setupAllocs,
-		setupNext:   snap.setupNext,
-	}
-	sc.setGates()
-	for k, v := range snap.crashPoints {
-		sc.crashPoints[k] = v
-	}
-	if opts.Trace && snap.rec != nil {
-		sc.recorder = snap.rec.Clone(stack.Listener(), heap.LabelFor)
-	}
-	// Replay the crash-unwind draws so the rng matches a scratch scenario
-	// whose scheduler unwound the remaining threads at the crash. These must
-	// be Intn calls, not raw skips: Intn may reject draws, and the scratch
-	// scheduler made the same rejections.
-	for j := snap.unwind; j >= 2; j-- {
-		sc.rng.Intn(j)
-	}
-	return sc, true
-}
-
-// runPlanned runs one crash scenario, resuming from snap when possible and
-// falling back to a from-scratch run otherwise (snap == nil, checkpointing
-// off, or a fingerprint mismatch). configure, when non-nil, is applied to
-// the scenario before any execution — both paths — so read-choice overrides
-// and recovery sinks attach uniformly.
-func runPlanned(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy, seed int64, configure func(*scenario)) *scenario {
-	if snap != nil {
-		if sc, ok := resumeScenario(makeProg, opts, snap, p, persist); ok {
-			if configure != nil {
-				configure(sc)
-			}
-			sc.finish(snap.crashSeq)
-			return sc
+	if snap != nil && sc.reset(makeProg, opts, snap, p, persist, seed) {
+		if configure != nil {
+			configure(sc)
 		}
+		sc.finish(snap.crashSeq)
+		return sc
 	}
-	sc := newScenario(makeProg, opts, p, persist, seed)
+	sc.reset(makeProg, opts, nil, p, persist, seed)
 	if configure != nil {
 		configure(sc)
 	}

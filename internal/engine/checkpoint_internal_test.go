@@ -1,10 +1,12 @@
 package engine
 
-// Internal benchmarks for the checkpoint layer: the cost of one snapshot
-// capture (the per-crash-point overhead the O(n) + C·clone bound pays).
+// Internal benchmark for the checkpoint layer: the cost of capturing a
+// snapshot at every crash point of a probe run (the per-crash-point overhead
+// the O(n) + C·capture bound pays), keyframes against journal deltas.
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"runtime"
 	"testing"
@@ -12,25 +14,15 @@ import (
 	"yashme/internal/fuzzprog"
 )
 
-// BenchmarkSnapshotClone measures captureSnapshot on a scenario that has run
-// a full pre-crash workload: one deep clone of the heap, detector, image and
-// bookkeeping — the C·clone term of the checkpointed exploration.
-func BenchmarkSnapshotClone(b *testing.B) {
-	mk, _ := fuzzprog.Generate(fuzzprog.Default(), 7)
-	opts := Options{Mode: ModelCheck, Prefix: true}.withDefaults()
-	sc := newScenario(mk, opts, plan{}, PersistLatest, opts.Seed)
-	sc.run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = captureSnapshot(sc, 1)
-	}
-}
+// deltaArtifact names the file BenchmarkSnapshotDelta writes its artifact
+// to (the format of the committed BENCH_delta.json); empty writes nothing.
+var deltaArtifact = flag.String("delta-artifact", "", "write the BenchmarkSnapshotDelta artifact (BENCH_delta.json format) to this path")
 
 // BenchmarkSnapshotDelta measures a full probe run capturing at every crash
 // point, full-clone keyframes (keyframe=1) against the default delta
-// journal, and writes the BENCH_delta.json artifact: per-mode wall-clock,
-// allocation and capture-accounting numbers. The delta mode's
+// journal. With -delta-artifact=<path> it writes the BENCH_delta.json
+// artifact there: per-mode wall-clock, allocation and capture-accounting
+// numbers. The delta mode's
 // snapshot_bytes is the headline — a journal segment replaces a detector
 // clone at all but every K-th point.
 func BenchmarkSnapshotDelta(b *testing.B) {
@@ -80,6 +72,9 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 			m.BytesPerOp = (after.TotalAlloc - before.TotalAlloc) / uint64(b.N)
 		})
 	}
+	if *deltaArtifact == "" {
+		return
+	}
 	artifact := struct {
 		Benchmark string                  `json:"benchmark"`
 		Modes     map[string]*measurement `json:"modes"`
@@ -92,7 +87,7 @@ func BenchmarkSnapshotDelta(b *testing.B) {
 	if err != nil {
 		b.Fatalf("marshal artifact: %v", err)
 	}
-	if err := os.WriteFile("BENCH_delta.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_delta.json: %v", err)
+	if err := os.WriteFile(*deltaArtifact, append(data, '\n'), 0o644); err != nil {
+		b.Fatalf("write %s: %v", *deltaArtifact, err)
 	}
 }

@@ -78,15 +78,15 @@ func TestDedupPairsEquivalent(t *testing.T) {
 				continue // beyond the capture cap
 			}
 			dupsSeen++
-			dd, rd := ds.materializeDetector(), rs.materializeDetector()
+			dd, rd := ds.materializeDetector(nil), rs.materializeDetector(nil)
 			dsig := dd.Current().AppendStateSignature(nil)
 			rsig := rd.Current().AppendStateSignature(nil)
 			if !bytes.Equal(dsig, rsig) {
 				t.Fatalf("seed %d: dup point %d and rep %d materialize different detector state", seed, dup, rep)
 			}
 			for _, pp := range opts.PersistPolicies {
-				dsc := runPlanned(mk, opts, ds, plan{0: dup}, pp, seed, nil)
-				rsc := runPlanned(mk, opts, rs, plan{0: rep}, pp, seed, nil)
+				dsc := runPlanned(nil, mk, opts, ds, plan{0: dup}, pp, seed, nil)
+				rsc := runPlanned(nil, mk, opts, rs, plan{0: rep}, pp, seed, nil)
 				if d, r := dsc.det.Report().String(), rsc.det.Report().String(); d != r {
 					t.Fatalf("seed %d: dup point %d reports differ from rep %d (policy %v):\n%s\nvs\n%s",
 						seed, dup, rep, pp, d, r)

@@ -27,7 +27,6 @@ import (
 	"yashme/internal/analysis"
 	"yashme/internal/pmm"
 	"yashme/internal/report"
-	"yashme/internal/tso"
 )
 
 // Mode selects how executions and crash points are explored (paper §4:
@@ -460,6 +459,4 @@ func (res *Result) absorb(sc *scenario) {
 	sc.stats.EpochHits += eh
 	sc.stats.EpochMisses += em
 	res.Stats.Add(sc.stats)
-	tso.Retire(sc.machine)
-	sc.machine = nil
 }

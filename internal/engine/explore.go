@@ -8,8 +8,8 @@
 //	          fan-out, random-mode seed derivation all happen here);
 //	execute — a bounded pool of Options.Workers goroutines runs each spec
 //	          as an isolated scenario group (no state is shared between
-//	          specs: every scenario owns its program instance, heap,
-//	          detector, TSO machine and rng);
+//	          specs: every scenario owns its program instance and heap, and
+//	          runs on its goroutine's scenario shell — see below);
 //	merge   — results are absorbed strictly in spec-index order, so the
 //	          final Result (races, Stats, Window, ExecutionsRun) is
 //	          byte-identical between Workers=1 and Workers=N.
@@ -17,6 +17,19 @@
 // The determinism contract: a spec's outcome is a pure function of
 // (makeProg, opts, spec), and the merge is a fold over outcomes in spec
 // order. Completion order therefore cannot influence the Result.
+//
+// Scenario shells: every goroutine that runs crash scenarios — each pool
+// worker, the plan goroutine (for probes that capture nothing) and, with
+// Workers == 1, the caller — owns one scenario and resets it for every
+// scenario it runs (scenario.reset), so a scenario copies the snapshot into
+// the previous scenario's detector tables, image, slabs and machine instead
+// of allocating them. A scenario's results leave it by value (absorb merges
+// its reports and stats into the spec's), which is what makes the reuse
+// invisible. The state that outlives its scenario still gets a fresh one:
+// a probe with a snapshot sink (its journal and keyframes share the probe's
+// detector arrays), a primary scenario with a recovery sink (the sink's
+// image clones share its candidate slab) and traced scenarios. Shells live
+// as long as their Run.
 package engine
 
 import (
@@ -27,9 +40,13 @@ import (
 
 	"yashme/internal/pmm"
 	"yashme/internal/report"
-	"yashme/internal/tso"
 	"yashme/internal/vclock"
 )
+
+// poisonShells makes every scenario reset scribble garbage over the arrays
+// it is about to reuse (scenario.scribble), so state a reset forgets to copy
+// or clear shows up as changed results. Only tests set it.
+var poisonShells bool
 
 // vclockSeqs is the per-line candidate list type (alias keeps the scenario
 // struct readable).
@@ -142,8 +159,11 @@ type planSummary struct {
 func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, res *Result) {
 	workers := opts.Workers
 	if workers == 1 {
+		// One goroutine plans and executes, so one shell serves both: a
+		// probe is done with its shell before it emits a spec.
+		sh := new(scenario)
 		var done map[int]*specResult
-		sum := planSpecs(ctx, makeProg, opts, func(spec scenarioSpec) {
+		sum := planSpecs(ctx, sh, makeProg, opts, func(spec scenarioSpec) {
 			if spec.dedupOf > 0 {
 				// Duplicate crash point: reuse the representative's verdict
 				// instead of simulating. The representative has a lower
@@ -160,7 +180,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			if !opts.Budget.AcquireCtx(ctx) {
 				return // cancelled before this scenario's turn
 			}
-			r := runSpec(ctx, makeProg, opts, spec)
+			r := runSpec(ctx, sh, makeProg, opts, spec)
 			opts.Budget.Release()
 			if r.panicked != nil {
 				panic(r.panicked)
@@ -197,7 +217,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 			close(specCh)
 			sumCh <- sum
 		}()
-		sum = planSpecs(ctx, makeProg, opts, func(spec scenarioSpec) { specCh <- spec })
+		sum = planSpecs(ctx, new(scenario), makeProg, opts, func(spec scenarioSpec) { specCh <- spec })
 	}()
 
 	// Execute layer: a bounded pool pulls specs and runs them in
@@ -208,6 +228,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sh := new(scenario)
 			for spec := range specCh {
 				if spec.dedupOf > 0 {
 					// Duplicate crash point: nothing to simulate — the
@@ -226,7 +247,7 @@ func runExplore(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 					resCh <- &specResult{spec: spec, skipped: true}
 					continue
 				}
-				r := runSpec(ctx, makeProg, opts, spec)
+				r := runSpec(ctx, sh, makeProg, opts, spec)
 				opts.Budget.Release()
 				resCh <- r
 			}
@@ -371,12 +392,13 @@ func (res *Result) mergeSpec(r *specResult) {
 // in spec-index order; in the parallel path it feeds the pool's channel, in
 // the sequential path it runs the spec inline. Probe runs — the planner's own
 // simulations — check the context before starting: a cancelled plan stops
-// enumerating and returns the summary of the probes that did run.
-func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
+// enumerating and returns the summary of the probes that did run. Probes
+// that capture nothing run on sh, the plan goroutine's shell.
+func planSpecs(ctx context.Context, sh *scenario, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	if opts.Mode == ModelCheck {
-		return planModelCheck(ctx, makeProg, opts, emit)
+		return planModelCheck(ctx, sh, makeProg, opts, emit)
 	}
-	return planRandom(ctx, makeProg, opts, emit)
+	return planRandom(ctx, sh, makeProg, opts, emit)
 }
 
 // planModelCheck enumerates the model-checking specs: per schedule, a probe
@@ -389,17 +411,22 @@ func planSpecs(ctx context.Context, makeProg func() pmm.Program, opts Options, e
 // and each emitted spec carries its point's snapshot. Snapshots are captured
 // before the crash's persist policy matters, so one probe (run under
 // PersistLatest, like always) serves every policy fan-out.
-func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
+func planModelCheck(ctx context.Context, sh *scenario, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	idx := 0
 	for sched := 0; sched < opts.Schedules; sched++ {
 		seed := opts.Seed + int64(sched)
-		probe := newScenario(makeProg, opts, plan{}, PersistLatest, seed)
 		var sink *snapshotSink
+		probe := sh
 		if opts.Checkpoint == CheckpointOn {
+			// The snapshots outlive the probe and share its detector's
+			// arrays, so a capturing probe gets a scenario of its own.
+			probe = newScenario(makeProg, opts, plan{}, PersistLatest, seed)
 			sink = newSnapshotSink(0, opts.MaxCrashPoints)
 			sink.configureProbe(opts, probe.det)
 			probe.capture = sink
+		} else {
+			probe.reset(makeProg, opts, nil, plan{}, PersistLatest, seed)
 		}
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this schedule's probe
@@ -415,8 +442,6 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 		sum.clockInterned += ci
 		sum.epochHits += eh
 		sum.epochMisses += em
-		tso.Retire(probe.machine)
-		probe.machine = nil
 		n := probe.crashPoints[0]
 		if sched == 0 {
 			sum.crashPoints = n
@@ -486,14 +511,15 @@ func planModelCheck(ctx context.Context, makeProg func() pmm.Program, opts Optio
 // i's probed point count — so the probes run here, on the plan goroutine,
 // while the pool executes earlier specs; the crash scenarios themselves
 // fan out across the workers.
-func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
+func planRandom(ctx context.Context, sh *scenario, makeProg func() pmm.Program, opts Options, emit func(scenarioSpec)) planSummary {
 	var sum planSummary
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for i := 0; i < opts.Executions; i++ {
 		schedSeed := rng.Int63()
 		// Probe with this schedule to count its crash points, then emit
 		// the identical schedule crashing before a random one of them.
-		probe := newScenario(makeProg, opts, plan{}, PersistRandom, schedSeed)
+		probe := sh
+		probe.reset(makeProg, opts, nil, plan{}, PersistRandom, schedSeed)
 		if !opts.Budget.AcquireCtx(ctx) {
 			return sum // cancelled before this execution's probe
 		}
@@ -506,8 +532,6 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 		sum.clockInterned += ci
 		sum.epochHits += eh
 		sum.epochMisses += em
-		tso.Retire(probe.machine)
-		probe.machine = nil
 		n := probe.crashPoints[0]
 		sum.crashPoints += n
 		c := 0
@@ -533,7 +557,9 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 // runSpec executes one spec in isolation: the primary scenario, then the
 // read-choice expansions and recovery-crash follow-ups that depend on its
 // runtime state. The internal order matches the sequential exploration
-// exactly, so the spec's private report preserves first-seen order.
+// exactly, so the spec's private report preserves first-seen order. Every
+// scenario runs on sh, the calling goroutine's shell, except a primary that
+// checkpoints its recovery execution (below): its snapshots outlive it.
 //
 // When the spec carries a checkpoint, every scenario in the group resumes
 // from it rather than re-simulating the pre-crash prefix, and the primary
@@ -546,7 +572,7 @@ func planRandom(ctx context.Context, makeProg func() pmm.Program, opts Options, 
 // cancellation observed between it and a read-choice or recovery-crash
 // follow-up stops the group there, leaving the already-absorbed scenarios as
 // the spec's partial contribution.
-func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec) (out *specResult) {
+func runSpec(ctx context.Context, sh *scenario, makeProg func() pmm.Program, opts Options, spec scenarioSpec) (out *specResult) {
 	out = &specResult{spec: spec, reports: make([]*report.Set, len(opts.Analyses))}
 	for i := range out.reports {
 		out.reports[i] = report.NewSet()
@@ -558,27 +584,29 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 	}()
 
 	var recSink *snapshotSink
+	primary := sh
 	if spec.expandRecovery && opts.Checkpoint == CheckpointOn {
 		recSink = newSnapshotSink(1, opts.RecoveryCrashes)
+		primary = nil
 	}
-	sc := runPlanned(makeProg, opts, spec.snap, spec.plan, spec.persist, spec.seed, func(sc *scenario) {
-		if spec.exploreReads {
-			sc.lineChoices = make(map[pmm.Line]vclockSeqs)
-		}
+	var lineChoices map[pmm.Line]vclockSeqs
+	if spec.exploreReads {
+		lineChoices = make(map[pmm.Line]vclockSeqs)
+	}
+	sc := runPlanned(primary, makeProg, opts, spec.snap, spec.plan, spec.persist, spec.seed, func(sc *scenario) {
+		sc.lineChoices = lineChoices
 		sc.capture = recSink
 	})
 	out.windowRaces = sc.stack.PrimaryReport().Count()
 	out.absorb(sc)
+	// Read everything the expansions need before they reuse the shell.
+	recPoints := min(sc.crashPoints[1], opts.RecoveryCrashes)
 
 	if spec.exploreReads {
-		runReadChoices(ctx, makeProg, opts, spec, sc.lineChoices, out)
+		runReadChoices(ctx, sh, makeProg, opts, spec, lineChoices, out)
 	}
 	if spec.expandRecovery {
-		m := sc.crashPoints[1]
-		if m > opts.RecoveryCrashes {
-			m = opts.RecoveryCrashes
-		}
-		for rc := 1; rc <= m; rc++ {
+		for rc := 1; rc <= recPoints; rc++ {
 			if ctx.Err() != nil {
 				break // checkpoint-resume boundary: stop expanding
 			}
@@ -586,7 +614,7 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 			if recSink != nil {
 				rsnap = recSink.snaps[rc]
 			}
-			rsc := runPlanned(makeProg, opts, rsnap, plan{0: spec.crashPoint, 1: rc}, spec.persist, spec.seed, nil)
+			rsc := runPlanned(sh, makeProg, opts, rsnap, plan{0: spec.crashPoint, 1: rc}, spec.persist, spec.seed, nil)
 			out.absorb(rsc)
 		}
 	}
@@ -597,7 +625,7 @@ func runSpec(ctx context.Context, makeProg func() pmm.Program, opts Options, spe
 // pinning that line to that choice so the post-crash execution actually
 // observes every candidate value (Jaaru's constraint-based read
 // exploration, bounded by Options.ReadChoiceCap per crash point).
-func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Options, spec scenarioSpec,
+func runReadChoices(ctx context.Context, sh *scenario, makeProg func() pmm.Program, opts Options, spec scenarioSpec,
 	lineChoices map[pmm.Line]vclockSeqs, out *specResult) {
 
 	// Deterministic line order.
@@ -613,7 +641,7 @@ func runReadChoices(ctx context.Context, makeProg func() pmm.Program, opts Optio
 				return
 			}
 			budget--
-			sc := runPlanned(makeProg, opts, spec.snap, plan{0: spec.crashPoint}, PersistLatest, spec.seed, func(sc *scenario) {
+			sc := runPlanned(sh, makeProg, opts, spec.snap, plan{0: spec.crashPoint}, PersistLatest, spec.seed, func(sc *scenario) {
 				sc.persistOverride = map[pmm.Line]vclock.Seq{line: choice}
 			})
 			if n := sc.stack.PrimaryReport().Count(); n > out.windowRaces {
@@ -639,8 +667,4 @@ func (r *specResult) absorb(sc *scenario) {
 	sc.stats.EpochHits += eh
 	sc.stats.EpochMisses += em
 	r.stats.Add(sc.stats)
-	// The scenario's last machine is dead with the scenario; retire its
-	// backings for the next scenario on any worker.
-	tso.Retire(sc.machine)
-	sc.machine = nil
 }

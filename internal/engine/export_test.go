@@ -7,3 +7,12 @@ func WithKeyframe(o Options, k int) Options {
 	o.keyframe = k
 	return o
 }
+
+// SetPoisonShells switches shell poisoning (poisonShells) for engine tests
+// and returns a function restoring the previous setting. Not safe to flip
+// while a Run is in flight.
+func SetPoisonShells(on bool) (restore func()) {
+	prev := poisonShells
+	poisonShells = on
+	return func() { poisonShells = prev }
+}

@@ -108,11 +108,23 @@ func (t *imageTable) set(a pmm.Addr, e imageEntry) {
 // clone returns an independent flat copy; candidate slices are shared (they
 // are immutable once stored).
 func (t *imageTable) clone() imageTable {
-	c := imageTable{idx: t.idx.Clone()}
-	if len(t.entries) > 0 {
-		c.entries = append(make([]imageEntry, 0, len(t.entries)), t.entries...)
-	}
+	var c imageTable
+	c.copyFrom(t)
 	return c
+}
+
+// copyFrom makes t an independent flat copy of src in t's own arrays (see
+// clone): a scenario shell copies a snapshot's image into the previous
+// scenario's table instead of allocating one.
+func (t *imageTable) copyFrom(src *imageTable) {
+	t.idx.CopyFrom(&src.idx, 0)
+	t.entries = append(t.entries[:0], src.entries...)
+}
+
+// reset empties the table for reuse, keeping its arrays.
+func (t *imageTable) reset() {
+	t.idx.Reset()
+	t.entries = t.entries[:0]
 }
 
 // forEach visits every present entry in ascending address order.
@@ -236,56 +248,190 @@ type scenario struct {
 	setupNext   pmm.Addr
 }
 
+// newScenario returns a fresh scenario for the crash plan, to run from
+// scratch: the reset of an empty shell.
 func newScenario(makeProg func() pmm.Program, opts Options, p plan, persist PersistPolicy, seed int64) *scenario {
+	sc := new(scenario)
+	sc.reset(makeProg, opts, nil, p, persist, seed)
+	return sc
+}
+
+// reset readies sc for one crash scenario of (makeProg, opts, p, persist,
+// seed). sc is either empty or a goroutine's scenario shell, left as the
+// previous scenario on that goroutine finished it (see explore.go). With snap
+// nil the scenario starts from scratch and the caller runs it. Otherwise it
+// is positioned exactly where a from-scratch run of (makeProg, opts, p,
+// persist, snap.seed) would be at snap's crash point, without simulating the
+// prefix, and the caller continues with sc.finish(snap.crashSeq).
+//
+// The program's closures capture heap handles, so the program and its Setup
+// always run against a fresh heap; a resume then grafts the snapshot's heap
+// state into that heap (pmm.Heap.Restore), keeping the handles valid. If
+// Setup does not reproduce the snapshot's allocation fingerprint — a
+// nondeterministic program — the resume is refused (false, sc untouched)
+// and the caller resets from scratch instead, deterministically for every
+// worker count.
+//
+// Everything else the scenario owns is reused rather than allocated: the
+// detector's tables are copied from the snapshot into (or reset in) the
+// previous scenario's arrays, and likewise the image table, the candidate
+// slab, the image scratch buffers, the report sets, the crash-point map,
+// the scheduler slots, the rng register and the TSO machine.
+func (sc *scenario) reset(makeProg func() pmm.Program, opts Options, snap *snapshot, p plan, persist PersistPolicy, seed int64) bool {
 	prog := makeProg()
 	heap := pmm.NewHeap()
 	if prog.Setup != nil {
 		prog.Setup(heap)
 	}
-	benchmark := opts.Benchmark
-	if benchmark == "" {
-		benchmark = prog.Name
+	if snap != nil {
+		if heap.AllocCount() != snap.setupAllocs || heap.NextFree() != snap.setupNext {
+			return false
+		}
+		heap.Restore(snap.heap)
 	}
 	if opts.EADR {
 		// eADR: every committed store is persistent; the image is always
 		// the latest committed state.
 		persist = PersistLatest
 	}
-	stack, err := analysis.NewStack(opts.Analyses, analysis.Config{
-		Prefix:    opts.Prefix,
-		EADR:      opts.EADR,
+	if poisonShells {
+		sc.scribble()
+	}
+	sc.opts, sc.prog, sc.heap = opts, prog, heap
+	sc.persist, sc.crashPlan = persist, p
+	sc.crashed, sc.opCount = false, 0
+	sc.persistOverride, sc.lineChoices = nil, nil
+	sc.capture, sc.recorder = nil, nil
+	sc.addrScratch, sc.choiceScratch = sc.addrScratch[:0], sc.choiceScratch[:0]
+	sc.candSlab = sc.candSlab[:0]
+	if sc.crashPoints == nil {
+		sc.crashPoints = make(map[int]int)
+	}
+	clear(sc.crashPoints)
+	if snap == nil {
+		sc.resetFresh(seed)
+	} else {
+		sc.resetFrom(snap)
+	}
+	sc.setGates()
+	return true
+}
+
+// resetFresh is reset's from-scratch half: a new analysis stack around the
+// reused detector, the rng at the start of seed's stream, and the image
+// seeded with the heap's Setup-time writes.
+func (sc *scenario) resetFresh(seed int64) {
+	heap := sc.heap
+	benchmark := sc.opts.Benchmark
+	if benchmark == "" {
+		benchmark = sc.prog.Name
+	}
+	stack, err := analysis.NewStackOn(sc.stack, sc.opts.Analyses, analysis.Config{
+		Prefix:    sc.opts.Prefix,
+		EADR:      sc.opts.EADR,
 		Benchmark: benchmark,
 		Labeler:   func(a pmm.Addr) string { return heap.LabelFor(a) },
-		Suppress:  opts.Suppress,
+		Suppress:  sc.opts.Suppress,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("engine: %v", err))
 	}
-	src := newCountingSource(seed)
-	sc := &scenario{
-		opts:        opts,
-		prog:        prog,
-		heap:        heap,
-		stack:       stack,
-		det:         stack.Model(),
-		rng:         rand.New(src),
-		rngSrc:      src,
-		seed:        seed,
-		persist:     persist,
-		crashPlan:   p,
-		crashPoints: make(map[int]int),
-		setupAllocs: heap.AllocCount(),
-		setupNext:   heap.NextFree(),
-	}
-	sc.setGates()
-	if opts.Trace {
+	sc.stack, sc.det = stack, stack.Model()
+	sc.seed = seed
+	sc.resetRng(nil, seed)
+	sc.execIdx = 0
+	sc.stats = Stats{}
+	sc.setupAllocs, sc.setupNext = heap.AllocCount(), heap.NextFree()
+	if sc.opts.Trace {
 		sc.recorder = trace.NewRecorder(stack.Listener(), heap.LabelFor)
 	}
+	sc.image.reset()
 	for _, w := range heap.InitWrites() {
 		sc.image.set(w.Addr, imageEntry{val: w.Val, size: w.Size, prevVal: w.Val})
 		stack.SeedPersisted(w.Addr)
 	}
-	return sc
+}
+
+// resetFrom is reset's resume half: the snapshot's detector, extra passes,
+// image, crash bookkeeping and rng position, copied into the scenario.
+func (sc *scenario) resetFrom(snap *snapshot) {
+	det := snap.materializeDetector(sc.det)
+	stack := analysis.Rebuild(sc.stack, sc.opts.Analyses, det, analysis.CloneExtras(snap.extras))
+	stack.SetLabeler(sc.heap.LabelFor)
+	sc.stack, sc.det = stack, det
+	sc.seed = snap.seed
+	sc.resetRng(snap, snap.seed)
+	sc.execIdx = snap.execIdx
+	sc.stats = snap.stats
+	sc.setupAllocs, sc.setupNext = snap.setupAllocs, snap.setupNext
+	for k, v := range snap.crashPoints {
+		sc.crashPoints[k] = v
+	}
+	if sc.opts.Trace && snap.rec != nil {
+		sc.recorder = snap.rec.Clone(stack.Listener(), sc.heap.LabelFor)
+	}
+	sc.image.copyFrom(&snap.image)
+	// Replay the crash-unwind draws so the rng matches a scratch scenario
+	// whose scheduler unwound the remaining threads at the crash. These must
+	// be Intn calls, not raw skips: Intn may reject draws, and the scratch
+	// scheduler made the same rejections.
+	for j := snap.unwind; j >= 2; j-- {
+		sc.rng.Intn(j)
+	}
+}
+
+// resetRng positions the scheduler rng at the start of seed's stream (snap
+// nil) or at snap's stream position, reusing the scenario's source and
+// register when it has them.
+func (sc *scenario) resetRng(snap *snapshot, seed int64) {
+	src := sc.rngSrc
+	switch {
+	case snap != nil && snap.rng != nil:
+		if src == nil {
+			src = new(countingSource)
+		}
+		src.shareFrom(snap.rng)
+	case src != nil && src.mirrored:
+		src.Seed(seed)
+	default:
+		src = newCountingSource(seed)
+	}
+	if snap != nil && snap.rng == nil {
+		src.skip(snap.rngDraws) // no register copy to share: seed and skip
+	}
+	if src != sc.rngSrc {
+		sc.rngSrc, sc.rng = src, rand.New(src)
+	}
+}
+
+// scribble overwrites every array reset is about to reuse with garbage
+// (poisonShells): a reset that forgets to copy or clear some state makes the
+// previous scenario's leftovers visible as wrong results instead of
+// plausible ones.
+func (sc *scenario) scribble() {
+	if sc.det != nil {
+		sc.det.Scribble()
+	}
+	if sc.machine != nil {
+		sc.machine.Scribble()
+	}
+	sc.image.idx.Scribble(func() int32 { return -1 })
+	bad := provCand{exec: -1, ref: -1}
+	scribbleSlice(sc.image.entries, imageEntry{val: 0xbad, size: 3, candidates: []provCand{bad}, chosen: bad})
+	scribbleSlice(sc.candSlab, bad)
+	scribbleSlice(sc.addrScratch, 0xbad)
+	scribbleSlice(sc.choiceScratch, 0xbad)
+	if sc.crashPoints != nil {
+		sc.crashPoints[0], sc.crashPoints[1], sc.crashPoints[7] = -1, -1, -1
+	}
+}
+
+// scribbleSlice fills s up to its full capacity with v.
+func scribbleSlice[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // setGates precomputes the per-load analysis gates from the stack and the
@@ -364,15 +510,16 @@ func (sc *scenario) startMachine() {
 		sc.recorder.SetExec(sc.execIdx)
 		listener = sc.recorder
 	}
-	// The previous execution's machine is dead (snapshots capture only its
-	// CurSeq); retiring it lets NewMachine — this one or a later scenario's
-	// on any worker — reuse its dense memory table and spare record slots.
-	tso.Retire(sc.machine)
-	sc.machine = tso.NewMachine(listener)
-	// The machine's record stamps must resolve in the detector's clock
-	// arena — the stamps cross the listener boundary by value and end up in
+	// The previous execution's machine — this scenario's, or the previous
+	// scenario's on this shell — is dead (snapshots capture only its CurSeq),
+	// so resetting it reuses its dense memory table and record chunk. The
+	// machine's record stamps must resolve in the detector's clock arena —
+	// the stamps cross the listener boundary by value and end up in
 	// StoreRecords, lastflush refs and cvpre.
-	sc.machine.UseArena(sc.det.ClockArena())
+	if sc.machine == nil {
+		sc.machine = new(tso.Machine)
+	}
+	sc.machine.Reset(listener, sc.det.ClockArena())
 	// The seed loop ascends; pre-sizing to the image's address bound makes
 	// it one allocation (later stores to fresh allocations grow as usual).
 	sc.machine.ReserveMemory(sc.image.idx.Len())
@@ -453,9 +600,11 @@ func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 	o := s.ops[i]
 	if o == nil {
 		o = &threadOps{sc: sc, tid: vclock.TID(i), resume: make(chan struct{})}
-		o.th = pmm.NewThread(o, sc.heap)
 		s.ops[i] = o
 	}
+	// The slot outlives its heap on a shell; rebinding the handle in place
+	// keeps it allocation-free.
+	o.th = *pmm.NewThread(o, sc.heap)
 	o.guarded, o.waiting = false, true
 	go func() {
 		defer func() { sc.exitThread(i, recover()) }()
@@ -463,7 +612,7 @@ func (sc *scenario) startThread(i int, fn func(*pmm.Thread)) {
 		if sc.crashed {
 			panic(errCrash)
 		}
-		fn(o.th)
+		fn(&o.th)
 	}()
 }
 
@@ -744,7 +893,7 @@ type threadOps struct {
 	sc  *scenario
 	tid vclock.TID
 	// th is the workload's handle on this thread, pooled with the slot.
-	th     *pmm.Thread
+	th     pmm.Thread
 	resume chan struct{}
 	// waiting marks a parked thread: started (or yielded) and not yet
 	// picked. The ready set is exactly the waiting threads — a finished

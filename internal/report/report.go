@@ -7,6 +7,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -274,13 +275,37 @@ func (s *Set) AttachWitnesses(build func(Race) string) {
 // afterwards (Add, Merge, AttachWitnesses) leaves the other untouched. The
 // engine's checkpoint layer clones the set captured at a snapshot point so
 // every resumed scenario starts from the same accumulated reports.
-func (s *Set) Clone() *Set {
-	c := &Set{RawCount: s.RawCount}
-	if len(s.keys) > 0 {
-		c.keys = append([]raceKey(nil), s.keys...)
-		c.races = append([]Race(nil), s.races...)
+func (s *Set) Clone() *Set { return s.CloneInto(nil) }
+
+// CloneInto is Clone into dst, a set no longer in use (nil allocates a new
+// one), reusing dst's arrays: the engine's scenario shells clone a
+// snapshot's reports into the previous scenario's set.
+func (s *Set) CloneInto(dst *Set) *Set {
+	if dst == nil {
+		dst = &Set{}
 	}
-	return c
+	dst.keys = append(dst.keys[:0], s.keys...)
+	dst.races = append(dst.races[:0], s.races...)
+	dst.idx = nil
+	dst.RawCount = s.RawCount
+	return dst
+}
+
+// Reset empties the set for reuse, keeping its arrays.
+func (s *Set) Reset() { s.keys, s.races, s.idx, s.RawCount = s.keys[:0], s.races[:0], nil, 0 }
+
+// Scribble overwrites the set's spare array capacity with a garbage race
+// and then empties the set. It is a test aid for code that reuses sets: a
+// reuse that reads past what it wrote sees the garbage.
+func (s *Set) Scribble() {
+	keys, races := s.keys[:cap(s.keys)], s.races[:cap(s.races)]
+	for i := range keys {
+		keys[i] = raceKey{benchmark: "scribble", field: "scribble"}
+	}
+	for i := range races {
+		races[i] = Race{Benchmark: "scribble", Field: "scribble", Addr: 0xdead}
+	}
+	s.keys, s.races, s.idx, s.RawCount = keys[:0], races[:0], nil, -1
 }
 
 // Merge adds every race from other into s. Merging is commutative up to
@@ -289,6 +314,8 @@ func (s *Set) Clone() *Set {
 // canonical representatives (see Add). s and other must not be mutated
 // concurrently; the engine merges on a single goroutine.
 func (s *Set) Merge(other *Set) {
+	s.keys = slices.Grow(s.keys, len(other.keys))
+	s.races = slices.Grow(s.races, len(other.races))
 	for i := range other.races {
 		s.Add(other.races[i])
 	}

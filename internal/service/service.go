@@ -190,8 +190,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxTerminalJobs bounds the finished jobs a manager keeps: a resident
+// service would otherwise hold every job and its result body forever. Live
+// (queued or running) jobs are never evicted.
+const maxTerminalJobs = 1024
+
 // Manager owns the job system: queue, workers, budget, cache, registry of
-// every job it has seen. Create with NewManager, stop with Shutdown.
+// its live jobs and its most recent maxTerminalJobs finished ones. Create
+// with NewManager, stop with Shutdown.
 type Manager struct {
 	cfg    Config
 	budget *engine.Budget
@@ -206,6 +212,11 @@ type Manager struct {
 	jobs   map[string]*Job
 	seq    int
 	closed bool
+	// terminal lists the IDs of the jobs in m.jobs that reached a terminal
+	// state, in the order they reached it; retire evicts from its front to
+	// keep at most maxTerminalJobs of them, counting in evicted.
+	terminal []string
+	evicted  int64
 
 	statsMu sync.Mutex
 	agg     engine.Stats // accumulated over every run that simulated
@@ -269,6 +280,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		job.body = body
 		close(job.done)
 		m.jobs[job.id] = job
+		m.retireLocked(job.id)
 		return job, nil
 	}
 	job.state = StateQueued
@@ -282,7 +294,27 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	}
 }
 
-// Job returns a job by ID.
+// retire records that a job reached a terminal state; see retireLocked.
+func (m *Manager) retire(id string) {
+	m.mu.Lock()
+	m.retireLocked(id)
+	m.mu.Unlock()
+}
+
+// retireLocked records a terminal job and evicts the jobs that have been
+// terminal longest while more than maxTerminalJobs are kept. Called with
+// m.mu held, and never with a job's mu held (Metrics locks m.mu first).
+func (m *Manager) retireLocked(id string) {
+	m.terminal = append(m.terminal, id)
+	for len(m.terminal) > maxTerminalJobs {
+		delete(m.jobs, m.terminal[0])
+		m.terminal = m.terminal[1:]
+		m.evicted++
+	}
+}
+
+// Job returns a job by ID. A finished job stays available until
+// maxTerminalJobs later jobs have finished; then it is ErrNotFound.
 func (m *Manager) Job(id string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -301,16 +333,22 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	job.mu.Lock()
-	defer job.mu.Unlock()
+	retired := false
 	switch job.state {
 	case StateQueued:
 		job.state = StateCancelled
 		job.err = "cancelled before start"
 		close(job.done)
+		retired = true
 	case StateRunning:
 		job.cancel()
 	}
-	return job.statusLocked(), nil
+	st := job.statusLocked()
+	job.mu.Unlock()
+	if retired {
+		m.retire(job.id)
+	}
+	return st, nil
 }
 
 // runJob executes one dequeued job. Workload panics become job failures,
@@ -384,6 +422,7 @@ func (m *Manager) runJob(job *Job) {
 	}
 	close(job.done)
 	job.mu.Unlock()
+	m.retire(job.id)
 }
 
 // Shutdown stops the manager: no new submissions, queued jobs cancelled,
@@ -403,12 +442,16 @@ func (m *Manager) Shutdown(ctx context.Context) {
 
 	for _, j := range live {
 		j.mu.Lock()
-		if j.state == StateQueued {
+		retired := j.state == StateQueued
+		if retired {
 			j.state = StateCancelled
 			j.err = "service shutting down"
 			close(j.done)
 		}
 		j.mu.Unlock()
+		if retired {
+			m.retire(j.id)
+		}
 	}
 
 	drained := make(chan struct{})
@@ -427,8 +470,11 @@ func (m *Manager) Shutdown(ctx context.Context) {
 
 // Metrics is the /metrics snapshot.
 type Metrics struct {
-	// Jobs counts every job the manager has seen, by state.
+	// Jobs counts the jobs the manager holds, by state: every live job and
+	// the most recent maxTerminalJobs finished ones.
 	Jobs map[State]int `json:"jobs"`
+	// JobsEvicted counts the finished jobs dropped to keep that bound.
+	JobsEvicted int64 `json:"jobs_evicted"`
 	// Cache is the result cache's hit/size ledger.
 	Cache CacheStats `json:"cache"`
 	// BudgetSize/BudgetInUse are the shared scenario budget's capacity and
@@ -451,6 +497,7 @@ func (m *Manager) Metrics() Metrics {
 		mm.Jobs[j.state]++
 		j.mu.Unlock()
 	}
+	mm.JobsEvicted = m.evicted
 	m.mu.Unlock()
 	mm.Cache = m.cache.stats()
 	mm.BudgetSize = m.budget.Size()

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -403,5 +405,59 @@ func TestResultCacheLRU(t *testing.T) {
 	s := c.stats()
 	if s.Entries != 2 || s.Bytes != 8 {
 		t.Fatalf("stats = %+v, want 2 entries / 8 bytes", s)
+	}
+}
+
+// The manager keeps at most maxTerminalJobs finished jobs: past that, the
+// job that finished longest ago is evicted first, counted in jobs_evicted,
+// and its ID answers 404; live jobs and the newest finished ones stay.
+func TestTerminalJobsAreBounded(t *testing.T) {
+	m := newTestManager(t, Config{Jobs: 1, Budget: engine.NewBudget(1)})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	first, err := m.Submit(probeReq())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitJob(t, first)
+	// Every resubmission is a cache hit: terminal the moment it exists.
+	const extra = 10
+	var last *Job
+	for i := 0; i < maxTerminalJobs+extra; i++ {
+		if last, err = m.Submit(probeReq()); err != nil {
+			t.Fatalf("resubmit %d: %v", i, err)
+		}
+	}
+	mm := m.Metrics()
+	if mm.JobsEvicted != extra+1 {
+		t.Fatalf("jobs_evicted = %d, want %d", mm.JobsEvicted, extra+1)
+	}
+	if n := mm.Jobs[StateDone]; n != maxTerminalJobs {
+		t.Fatalf("manager holds %d done jobs, want %d", n, maxTerminalJobs)
+	}
+	get := func(id string) int {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get(first.ID()); code != http.StatusNotFound {
+		t.Fatalf("GET evicted job %s: HTTP %d, want 404", first.ID(), code)
+	}
+	if code := get(last.ID()); code != http.StatusOK {
+		t.Fatalf("GET newest job %s: HTTP %d, want 200", last.ID(), code)
+	}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if !bytes.Contains(body.Bytes(), []byte(`"jobs_evicted": 11`)) {
+		t.Fatalf("/metrics lacks jobs_evicted: %s", body.Bytes())
 	}
 }

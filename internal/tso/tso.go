@@ -24,7 +24,6 @@ package tso
 
 import (
 	"fmt"
-	"sync"
 
 	"yashme/internal/addridx"
 	"yashme/internal/pmm"
@@ -153,7 +152,7 @@ type Machine struct {
 	self []vclock.Seq // indexed by TID
 
 	// clocks holds the interned snapshots. The engine shares the
-	// detector's arena via UseArena so record stamps resolve on both
+	// detector's arena via Reset so record stamps resolve on both
 	// sides; a stand-alone machine gets a private arena.
 	clocks *vclock.Arena
 
@@ -163,84 +162,79 @@ type Machine struct {
 	// once committed, so clones share them.
 	mem addridx.Table[*CommittedStore]
 
-	// recSlab is the spare tail of a chunk-allocated CommittedStore block:
-	// seeding a persisted image and committing stores both mint one record
-	// per event, so handing out slab slots turns those per-record
-	// allocations into one per chunk. Handed-out records are immutable and
-	// freely shared; the unused tail is private (Clone drops it).
-	recSlab []CommittedStore
+	// recs is the current chunk of a chunk-allocated CommittedStore block
+	// and recN the number of its slots handed out: seeding a persisted image
+	// and committing stores both mint one record per event, so handing out
+	// chunk slots turns those per-record allocations into one per chunk.
+	// Handed-out records are immutable and freely shared (Clone shares them;
+	// the unused tail stays private) until Reset recycles the chunk.
+	recs []CommittedStore
+	recN int
 }
 
-// recycled carries the reusable backings of a retired machine between
-// Retire and NewMachine.
-type recycled struct {
-	mem  addridx.Table[*CommittedStore]
-	slab []CommittedStore
-}
-
-// retiredPool holds backings of retired machines. The engine runs one
-// short-lived machine per crash scenario across a pool of workers; routing
-// the dense memory table and the spare record slots through a sync.Pool
-// means steady-state scenarios reuse an existing zeroed table instead of
-// reallocating one each.
-var retiredPool sync.Pool
-
-// Retire hands m's memory-table backing and spare record slots to the pool
-// NewMachine draws from. The machine must never be used again. Records it
-// already handed out stay valid: they are immutable, referenced
-// individually rather than through the table, and only the never-handed-out
-// slab tail is reused.
-func Retire(m *Machine) {
-	if m == nil {
-		return
-	}
-	m.mem.Reset()
-	retiredPool.Put(&recycled{mem: m.mem, slab: m.recSlab})
-	m.mem = addridx.Table[*CommittedStore]{}
-	m.recSlab = nil
-}
-
-// newRecord hands out one record slot from the slab chunk.
+// newRecord hands out one record slot from the chunk, starting a new chunk
+// twice the size when it is used up (earlier chunks stay alive as long as
+// their records are referenced).
 func (m *Machine) newRecord() *CommittedStore {
-	if len(m.recSlab) == 0 {
-		m.recSlab = make([]CommittedStore, 64)
+	if m.recN == len(m.recs) {
+		m.recs, m.recN = make([]CommittedStore, max(64, 2*len(m.recs))), 0
 	}
-	rec := &m.recSlab[0]
-	m.recSlab = m.recSlab[1:]
-	return rec
+	m.recN++
+	return &m.recs[m.recN-1]
 }
 
 // arenaProvider is the optional listener interface a clock-consuming
 // listener (the race detector) implements: its arena is adopted by
 // NewMachine so the stamps the machine mints resolve on the listener's
-// side without an explicit UseArena call.
+// side without an explicit arena argument.
 type arenaProvider interface{ ClockArena() *vclock.Arena }
 
 // NewMachine returns an empty machine reporting to listener. A listener
 // that owns a clock arena (implements ClockArena) shares it with the
 // machine; otherwise the machine gets a private arena.
 func NewMachine(listener Listener) *Machine {
-	if listener == nil {
-		listener = NopListener{}
-	}
-	m := &Machine{listener: listener}
-	if r, _ := retiredPool.Get().(*recycled); r != nil {
-		m.mem = r.mem
-		m.recSlab = r.slab
-	}
-	if p, ok := listener.(arenaProvider); ok {
-		m.clocks = p.ClockArena()
-	} else {
-		m.clocks = vclock.NewArena()
-	}
+	m := &Machine{}
+	m.Reset(listener, nil)
 	return m
 }
 
-// UseArena points the machine at a shared clock arena (the detector's, in
-// engine runs, so record stamps resolve identically on both sides). Call
-// it before the first operation; stamps minted against a previous arena do
-// not transfer.
-func (m *Machine) UseArena(a *vclock.Arena) { m.clocks = a }
+// Reset returns m to NewMachine(listener)'s empty state, keeping its
+// memory table, its per-thread buffers and its latest record chunk for
+// reuse: the engine runs one
+// short-lived machine per execution, and a scenario reuses its machine
+// instead of allocating one each time. Reset recycles every record m handed
+// out, so neither those records nor any clone of m may still be in use.
+// clocks, when non-nil, is the arena the machine's stamps resolve in (the
+// engine passes its detector's, so record stamps resolve identically on both
+// sides); nil picks one as NewMachine does.
+func (m *Machine) Reset(listener Listener, clocks *vclock.Arena) {
+	if listener == nil {
+		listener = NopListener{}
+	}
+	if clocks == nil {
+		if p, ok := listener.(arenaProvider); ok {
+			clocks = p.ClockArena()
+		} else {
+			clocks = vclock.NewArena()
+		}
+	}
+	m.listener, m.clocks = listener, clocks
+	m.seq, m.declared = 0, 0
+	m.sb, m.fb, m.base, m.self = m.sb[:0], m.fb[:0], m.base[:0], m.self[:0]
+	m.mem.Reset()
+	m.recN = 0
+}
+
+// Scribble overwrites the arrays Reset keeps — the whole memory table and
+// record chunk — with garbage. It is a test aid for code that reuses
+// machines: a reset that forgets to clear them makes stale state visible.
+func (m *Machine) Scribble() {
+	bad := &CommittedStore{Addr: 0xbad, Val: 0xbad, Seq: 0xbad}
+	m.mem.Scribble(func() *CommittedStore { return bad })
+	for i := range m.recs {
+		m.recs[i] = *bad
+	}
+}
 
 // ClockArena returns the arena the machine's stamps resolve in.
 func (m *Machine) ClockArena() *vclock.Arena { return m.clocks }
@@ -268,11 +262,23 @@ func (m *Machine) SpawnThreads(n int) {
 // growThreads extends the per-thread slices to cover n threads.
 func (m *Machine) growThreads(n int) {
 	for len(m.sb) < n {
-		m.sb = append(m.sb, nil)
-		m.fb = append(m.fb, nil)
+		m.sb = appendBuf(m.sb)
+		m.fb = appendBuf(m.fb)
 		m.base = append(m.base, 0)
 		m.self = append(m.self, 0)
 	}
+}
+
+// appendBuf extends a per-thread buffer list by one empty buffer, reusing
+// the one a previous execution left in the spare capacity (Reset truncates
+// the lists but keeps them).
+func appendBuf[T any](bufs [][]T) [][]T {
+	if n := len(bufs); n < cap(bufs) {
+		bufs = bufs[:n+1]
+		bufs[n] = bufs[n][:0]
+		return bufs
+	}
+	return append(bufs, nil)
 }
 
 // checkTID validates tid against the declared (or on-demand) thread range
@@ -432,7 +438,10 @@ func (m *Machine) EvictOne(tid vclock.TID) bool {
 		return false
 	}
 	e := buf[0]
-	m.sb[tid] = buf[1:]
+	// Shift rather than reslice past the entry: buffers hold a handful of
+	// entries, and keeping the array's start lets it be reused forever.
+	copy(buf, buf[1:])
+	m.sb[tid] = buf[:len(buf)-1]
 	m.commit(tid, e)
 	return true
 }
@@ -474,7 +483,7 @@ func (m *Machine) flushFB(tid vclock.TID, fenceSeq vclock.Seq, fenceCV vclock.St
 	for _, fbe := range m.fb[tid] {
 		m.listener.CLWBPersisted(fbe, tid, fenceSeq, fenceCV)
 	}
-	m.fb[tid] = nil
+	m.fb[tid] = m.fb[tid][:0]
 }
 
 // MFence drains the thread's store buffer, persists its flush buffer, and

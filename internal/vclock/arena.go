@@ -90,9 +90,15 @@ type Arena struct {
 	// entries), so snapshot clones that never intern pay nothing.
 	lookup  map[string]Ref
 	lookupN int
-	key     []byte // scratch for canonical keys
-	buf     VC     // scratch: join left operand / materialized stamps
-	buf2    VC     // scratch: join right operand
+	// shared marks entries as a capped view of another arena's snapshots
+	// (CloneInto, AdoptView): Reset then allocates afresh instead of
+	// overwriting the array in place, and an Intern that reallocates makes
+	// the array private again. (An arena that handed out views of its own
+	// — View, Clone — must not be Reset while they are in use.)
+	shared bool
+	key    []byte // scratch for canonical keys
+	buf    VC     // scratch: join left operand / materialized stamps
+	buf2   VC     // scratch: join right operand
 
 	// Cost counters, harvested (and reset) via TakeCounters. Clones start
 	// at zero so resumed scenarios count only their own work.
@@ -161,7 +167,11 @@ func (a *Arena) Intern(v VC) Ref {
 		return r
 	}
 	r := Ref(len(a.entries))
+	c := cap(a.entries)
 	a.entries = append(a.entries, w.Clone())
+	if cap(a.entries) != c {
+		a.shared = false // the append moved to a private array
+	}
 	a.interned++
 	a.lookup[string(a.keyOf(w))] = r
 	a.lookupN = len(a.entries)
@@ -273,11 +283,33 @@ func (a *Arena) joinSlow(left VC, st Stamp) Ref {
 // slice is capped so either side's next append reallocates privately, the
 // lookup map is rebuilt lazily on the clone's first Intern, and the cost
 // counters start at zero so a resumed scenario counts only its own work.
-func (a *Arena) Clone() *Arena {
-	return &Arena{
-		entries: a.entries[:len(a.entries):len(a.entries)],
-		lookupN: 1,
+func (a *Arena) Clone() *Arena { return a.CloneInto(nil) }
+
+// CloneInto is Clone into dst, an arena no longer in use (nil allocates a
+// new one): dst's lookup map and scratch buffers are kept for reuse, its
+// snapshots and counters are replaced.
+func (a *Arena) CloneInto(dst *Arena) *Arena {
+	if dst == nil {
+		dst = &Arena{}
 	}
+	dst.AdoptView(a.View())
+	dst.interned, dst.epochHits, dst.epochMisses = 0, 0, 0
+	return dst
+}
+
+// Reset empties the arena to NewArena's state, reusing its entry array
+// when it owns it (not a shared view) and its lookup map. No view the arena
+// handed out (View, Clone) may still be in use.
+func (a *Arena) Reset() {
+	if a.shared || len(a.entries) == 0 {
+		a.entries, a.shared = make([]VC, 1, 16), false
+	} else {
+		clear(a.entries)
+		a.entries = a.entries[:1]
+	}
+	clear(a.lookup)
+	a.lookupN = 1
+	a.interned, a.epochHits, a.epochMisses = 0, 0, 0
 }
 
 // View returns the current snapshot list as a capped read-only slice, for
@@ -288,8 +320,8 @@ func (a *Arena) View() []VC { return a.entries[:len(a.entries):len(a.entries)] }
 // checkpoint-replay graft. Refs recorded by the journal's producer resolve
 // identically in the adopting arena because entries are append-only.
 func (a *Arena) AdoptView(entries []VC) {
-	a.entries = entries
-	a.lookup = nil
+	a.entries, a.shared = entries, true
+	clear(a.lookup)
 	a.lookupN = 1
 }
 
