@@ -44,13 +44,26 @@ func mustSpec(tb testing.TB, name string) workload.Spec {
 	return s
 }
 
+// Layouts of the benchmark programs, compiled once: the engine re-runs
+// Setup for every crash scenario.
+var (
+	valType  = yashme.Compile(yashme.Layout{{Name: "val", Size: 8}})
+	vType    = yashme.Compile(yashme.Layout{{Name: "v", Size: 8}})
+	zType    = yashme.Compile(yashme.Layout{{Name: "z", Size: 8}})
+	fType    = yashme.Compile(yashme.Layout{{Name: "f", Size: 8}})
+	quadType = yashme.Compile(yashme.Layout{
+		{Name: "a", Size: 8}, {Name: "b", Size: 8},
+		{Name: "c", Size: 8}, {Name: "d", Size: 8},
+	})
+)
+
 // figure1 is the paper's Figure 1 program (E1).
 func figure1() yashme.Program {
 	var val yashme.Addr
 	return yashme.Program{
 		Name: "figure1",
 		Setup: func(h *yashme.Heap) {
-			val = h.AllocStruct("pmobj", yashme.Layout{{Name: "val", Size: 8}}).F("val")
+			val = h.AllocStruct("pmobj", valType).F("val")
 		},
 		Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 			t.Store64(val, 0x1234567812345678)
@@ -322,7 +335,7 @@ func BenchmarkSchedulerHandoff(b *testing.B) {
 			return yashme.Program{
 				Name: "handoff",
 				Setup: func(h *yashme.Heap) {
-					val = h.AllocStruct("o", yashme.Layout{{Name: "v", Size: 8}}).F("v")
+					val = h.AllocStruct("o", vType).F("v")
 				},
 				Workers:   workers,
 				PostCrash: func(t *yashme.Thread) { t.Load64(val) },
@@ -357,10 +370,7 @@ func BenchmarkSoloRecovery(b *testing.B) {
 		return yashme.Program{
 			Name: "solo",
 			Setup: func(h *yashme.Heap) {
-				base = h.AllocStruct("o", yashme.Layout{
-					{Name: "a", Size: 8}, {Name: "b", Size: 8},
-					{Name: "c", Size: 8}, {Name: "d", Size: 8},
-				}).F("a")
+				base = h.AllocStruct("o", quadType).F("a")
 			},
 			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 				for i := 0; i < 40; i++ {
@@ -466,8 +476,8 @@ func BenchmarkPrefixExpansion(b *testing.B) {
 		return yashme.Program{
 			Name: "mt-prefix",
 			Setup: func(h *yashme.Heap) {
-				z = h.AllocStruct("zz", yashme.Layout{{Name: "z", Size: 8}}).F("z")
-				f = h.AllocStruct("ff", yashme.Layout{{Name: "f", Size: 8}}).F("f")
+				z = h.AllocStruct("zz", zType).F("z")
+				f = h.AllocStruct("ff", fType).F("f")
 			},
 			Workers: []func(*yashme.Thread){
 				func(t *yashme.Thread) { t.Store64(z, 7); t.CLFlush(z) },
@@ -618,10 +628,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		return yashme.Program{
 			Name: "throughput",
 			Setup: func(h *yashme.Heap) {
-				base = h.AllocStruct("o", yashme.Layout{
-					{Name: "a", Size: 8}, {Name: "b", Size: 8},
-					{Name: "c", Size: 8}, {Name: "d", Size: 8},
-				}).F("a")
+				base = h.AllocStruct("o", quadType).F("a")
 			},
 			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 				for i := 0; i < 250; i++ {

@@ -10,12 +10,15 @@ import (
 // 64-bit store that a compiler may tear, flushed too late to survive every
 // crash.
 func ExampleRun() {
+	// Compile the layout once: the engine re-runs Setup per crash scenario.
+	typ := yashme.Compile(yashme.Layout{{Name: "val", Size: 8}})
+	ref := typ.Ref("val")
 	makeProg := func() yashme.Program {
 		var val yashme.Addr
 		return yashme.Program{
 			Name: "figure1",
 			Setup: func(h *yashme.Heap) {
-				val = h.AllocStruct("pmobj", yashme.Layout{{Name: "val", Size: 8}}).F("val")
+				val = h.AllocStruct("pmobj", typ).At(ref)
 			},
 			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 				t.Store64(val, 0x1234567812345678)
@@ -35,12 +38,15 @@ func ExampleRun() {
 // an atomic release store (a plain mov on x86, but no tearing allowed)
 // removes the race entirely.
 func ExampleRun_fixed() {
+	// Compile the layout once: the engine re-runs Setup per crash scenario.
+	typ := yashme.Compile(yashme.Layout{{Name: "val", Size: 8}})
+	ref := typ.Ref("val")
 	makeProg := func() yashme.Program {
 		var val yashme.Addr
 		return yashme.Program{
 			Name: "figure1-fixed",
 			Setup: func(h *yashme.Heap) {
-				val = h.AllocStruct("pmobj", yashme.Layout{{Name: "val", Size: 8}}).F("val")
+				val = h.AllocStruct("pmobj", typ).At(ref)
 			},
 			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 				t.StoreRelease64(val, 0x1234567812345678) // the fix
@@ -59,12 +65,15 @@ func ExampleRun_fixed() {
 // completion, the baseline is blind (the store was flushed) while the
 // prefix detector still derives the racy execution.
 func ExampleRun_baseline() {
+	// Compile the layout once: the engine re-runs Setup per crash scenario.
+	typ := yashme.Compile(yashme.Layout{{Name: "x", Size: 8}})
+	ref := typ.Ref("x")
 	makeProg := func() yashme.Program {
 		var val yashme.Addr
 		return yashme.Program{
 			Name: "window",
 			Setup: func(h *yashme.Heap) {
-				val = h.AllocStruct("o", yashme.Layout{{Name: "x", Size: 8}}).F("x")
+				val = h.AllocStruct("o", typ).At(ref)
 			},
 			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 				t.Store64(val, 7)

@@ -29,7 +29,7 @@ func main() {
 	// 1. PMTest-style rules over the annotated insert protocol.
 	var key, value pmm.Addr
 	setup := func(h *pmm.Heap) {
-		pair := h.AllocStruct("Pair", pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}})
+		pair := h.AllocStruct("Pair", pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}}))
 		key, value = pair.F("key"), pair.F("value")
 	}
 	violations := pmtest.Check(setup, func(t *pmm.Thread, c *pmtest.Checker) {

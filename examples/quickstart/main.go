@@ -21,6 +21,13 @@ import (
 	"yashme"
 )
 
+// pmobjType is Figure 1's struct, compiled once: Setup re-runs for every
+// crash scenario, so it only allocates.
+var (
+	pmobjType = yashme.Compile(yashme.Layout{{Name: "val", Size: 8}})
+	pmobjVal  = pmobjType.Ref("val")
+)
+
 func main() {
 	var observed []uint64
 	makeProg := func() yashme.Program {
@@ -28,8 +35,7 @@ func main() {
 		return yashme.Program{
 			Name: "figure1",
 			Setup: func(h *yashme.Heap) {
-				pmobj := h.AllocStruct("pmobj", yashme.Layout{{Name: "val", Size: 8}})
-				val = pmobj.F("val")
+				val = h.AllocStruct("pmobj", pmobjType).At(pmobjVal)
 				h.Init(val, 8, 0)
 			},
 			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {

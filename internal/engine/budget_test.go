@@ -26,7 +26,7 @@ func budgetProbe(inFlight, maxSeen *int32) func() pmm.Program {
 		return pmm.Program{
 			Name: "budget-probe",
 			Setup: func(h *pmm.Heap) {
-				val = h.AllocStruct("o", pmm.Layout{{Name: "v", Size: 8}}).F("v")
+				val = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "v", Size: 8}})).F("v")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				enter()

@@ -19,7 +19,7 @@ func ctxProbe(onWorker func()) func() pmm.Program {
 		return pmm.Program{
 			Name: "ctx-probe",
 			Setup: func(h *pmm.Heap) {
-				val = h.AllocStruct("o", pmm.Layout{{Name: "v", Size: 8}}).F("v")
+				val = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "v", Size: 8}})).F("v")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				if onWorker != nil {

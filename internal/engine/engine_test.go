@@ -17,7 +17,7 @@ func figure1(observed *[]uint64) func() pmm.Program {
 		return pmm.Program{
 			Name: "figure1",
 			Setup: func(h *pmm.Heap) {
-				obj := h.AllocStruct("pmobj", pmm.Layout{{Name: "val", Size: 8}})
+				obj := h.AllocStruct("pmobj", pmm.Compile(pmm.Layout{{Name: "val", Size: 8}}))
 				val = obj.F("val")
 				h.Init(val, 8, 0)
 			},
@@ -110,7 +110,7 @@ func TestCoherenceProtectionEndToEnd(t *testing.T) {
 		return pmm.Program{
 			Name: "coherence",
 			Setup: func(h *pmm.Heap) {
-				obj := h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}})
+				obj := h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}}))
 				x, y = obj.F("x"), obj.F("y")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -142,7 +142,7 @@ func TestNoCoherenceWithoutAtomicRead(t *testing.T) {
 		return pmm.Program{
 			Name: "nocoherence",
 			Setup: func(h *pmm.Heap) {
-				obj := h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}})
+				obj := h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}}))
 				x, y = obj.F("x"), obj.F("y")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -169,7 +169,7 @@ func TestCLWBSFencePoints(t *testing.T) {
 		return pmm.Program{
 			Name: "clwb",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 5)
@@ -196,7 +196,7 @@ func TestPersistPolicies(t *testing.T) {
 			return pmm.Program{
 				Name: "pp",
 				Setup: func(h *pmm.Heap) {
-					x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+					x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 					h.Init(x, 8, 1)
 				},
 				Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -235,7 +235,7 @@ func TestChecksumGuardedRacesAreBenign(t *testing.T) {
 		return pmm.Program{
 			Name: "guarded",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 5)
@@ -263,9 +263,9 @@ func TestRecoveryRaceNeedsSecondCrash(t *testing.T) {
 		return pmm.Program{
 			Name: "recovery",
 			Setup: func(h *pmm.Heap) {
-				o := h.AllocStruct("o", pmm.Layout{{Name: "a", Size: 8}})
+				o := h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}}))
 				a = o.F("a")
-				o2 := h.AllocStruct("rec", pmm.Layout{{Name: "b", Size: 8}})
+				o2 := h.AllocStruct("rec", pmm.Compile(pmm.Layout{{Name: "b", Size: 8}}))
 				b = o2.F("b")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -315,8 +315,8 @@ func TestMultithreadedPrefixScenario(t *testing.T) {
 		return pmm.Program{
 			Name: "mt",
 			Setup: func(h *pmm.Heap) {
-				z = h.AllocStruct("zz", pmm.Layout{{Name: "z", Size: 8}}).F("z")
-				f = h.AllocStruct("ff", pmm.Layout{{Name: "f", Size: 8}}).F("f")
+				z = h.AllocStruct("zz", pmm.Compile(pmm.Layout{{Name: "z", Size: 8}})).F("z")
+				f = h.AllocStruct("ff", pmm.Compile(pmm.Layout{{Name: "f", Size: 8}})).F("f")
 			},
 			Workers: []func(*pmm.Thread){
 				func(t *pmm.Thread) {
@@ -396,7 +396,7 @@ func TestUnwrittenAddressReadsZeroPostCrash(t *testing.T) {
 		return pmm.Program{
 			Name: "zero",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers:   []func(*pmm.Thread){func(t *pmm.Thread) { t.SFence() }},
 			PostCrash: func(t *pmm.Thread) { got = t.Load64(x) },
@@ -416,7 +416,7 @@ func TestMemsetRacesPerField(t *testing.T) {
 		return pmm.Program{
 			Name: "memset",
 			Setup: func(h *pmm.Heap) {
-				s = h.AllocStruct("node", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+				s = h.AllocStruct("node", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Memset(s.Base(), s.Size(), 0xAB)
@@ -442,7 +442,7 @@ func TestCASStoreIsAtomic(t *testing.T) {
 		return pmm.Program{
 			Name: "cas",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.CAS64(x, 0, 9)
@@ -474,7 +474,7 @@ func TestMaxCrashPointsCap(t *testing.T) {
 		return pmm.Program{
 			Name: "many",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for i := 0; i < 10; i++ {
@@ -540,8 +540,8 @@ func TestEADREndToEnd(t *testing.T) {
 		return pmm.Program{
 			Name: "eadr-subset",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("xx", pmm.Layout{{Name: "x", Size: 8}}).F("x")
-				z = h.AllocStruct("zz", pmm.Layout{{Name: "z", Size: 8}}).F("z")
+				x = h.AllocStruct("xx", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
+				z = h.AllocStruct("zz", pmm.Compile(pmm.Layout{{Name: "z", Size: 8}})).F("z")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1)
@@ -625,8 +625,8 @@ func TestMultipleSchedules(t *testing.T) {
 		return pmm.Program{
 			Name: "sched",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("xx", pmm.Layout{{Name: "x", Size: 8}}).F("x")
-				f = h.AllocStruct("ff", pmm.Layout{{Name: "f", Size: 8}}).F("f")
+				x = h.AllocStruct("xx", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
+				f = h.AllocStruct("ff", pmm.Compile(pmm.Layout{{Name: "f", Size: 8}})).F("f")
 			},
 			Workers: []func(*pmm.Thread){
 				func(t *pmm.Thread) {
@@ -663,8 +663,8 @@ func TestExploreReadsFindsIntermediateValues(t *testing.T) {
 		return pmm.Program{
 			Name: "reads",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("xx", pmm.Layout{{Name: "x", Size: 8}}).F("x")
-				y = h.AllocStruct("yy", pmm.Layout{{Name: "y", Size: 8}}).F("y")
+				x = h.AllocStruct("xx", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
+				y = h.AllocStruct("yy", pmm.Compile(pmm.Layout{{Name: "y", Size: 8}})).F("y")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1)
@@ -715,7 +715,7 @@ func TestMultithreadedRecovery(t *testing.T) {
 		return pmm.Program{
 			Name: "mt-recovery",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 5)
@@ -744,7 +744,7 @@ func TestCLFlushOptNeedsFence(t *testing.T) {
 		return pmm.Program{
 			Name: "clflushopt",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 5)
@@ -767,7 +767,7 @@ func TestRunawayWorkloadWatchdog(t *testing.T) {
 		return pmm.Program{
 			Name: "runaway",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for { // never terminates
@@ -796,7 +796,7 @@ func TestCandidateLimitLosesOldCandidates(t *testing.T) {
 		return pmm.Program{
 			Name: "cands",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1)        // older candidate: racy
@@ -827,7 +827,7 @@ func TestStoreBufferLossInRandomMode(t *testing.T) {
 		return pmm.Program{
 			Name: "sbloss",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}, {Name: "y", Size: 8}})).F("x")
 				y = x + 8
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -868,8 +868,8 @@ func TestModelCheckReproducibleAcrossProcessRuns(t *testing.T) {
 		return pmm.Program{
 			Name: "repro",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("a", pmm.Layout{{Name: "x", Size: 8}}).F("x")
-				y = h.AllocStruct("b", pmm.Layout{{Name: "y", Size: 8}}).F("y")
+				x = h.AllocStruct("a", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
+				y = h.AllocStruct("b", pmm.Compile(pmm.Layout{{Name: "y", Size: 8}})).F("y")
 			},
 			Workers: []func(*pmm.Thread){
 				func(t *pmm.Thread) { t.Store64(x, 1); t.CLFlush(x) },

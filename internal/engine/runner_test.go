@@ -17,7 +17,7 @@ func deferProg(seen *[]uint64) func() pmm.Program {
 		return pmm.Program{
 			Name: "defer",
 			Setup: func(h *pmm.Heap) {
-				obj := h.AllocStruct("obj", pmm.Layout{{Name: "data", Size: 8}, {Name: "flag", Size: 8}})
+				obj := h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "data", Size: 8}, {Name: "flag", Size: 8}}))
 				data, flag = obj.F("data"), obj.F("flag")
 				h.Init(data, 8, 0)
 				h.Init(flag, 8, 0)

@@ -118,7 +118,7 @@ func spawnProg() pmm.Program {
 	return pmm.Program{
 		Name: "spawn",
 		Setup: func(h *pmm.Heap) {
-			obj := h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+			obj := h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 			a, b = obj.F("a"), obj.F("b")
 			h.Init(a, 8, 0)
 			h.Init(b, 8, 0)
@@ -173,7 +173,7 @@ func spawnCrashProg(seen *[]uint64) func() pmm.Program {
 		return pmm.Program{
 			Name: "spawn-crash",
 			Setup: func(h *pmm.Heap) {
-				obj := h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+				obj := h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 				a, b = obj.F("a"), obj.F("b")
 				h.Init(a, 8, 0)
 				h.Init(b, 8, 0)

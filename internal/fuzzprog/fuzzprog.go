@@ -12,8 +12,8 @@
 package fuzzprog
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"yashme/internal/pmm"
 )
@@ -43,6 +43,18 @@ func Default() Config {
 
 // fieldNames are the per-object field labels.
 var fieldNames = [4]string{"f0", "f1", "f2", "f3"}
+
+// objType is every generated object's 4-field struct type, and fieldRefs
+// its fields in fieldNames order.
+var (
+	objType = pmm.Compile(pmm.Layout{
+		{Name: "f0", Size: 8}, {Name: "f1", Size: 8},
+		{Name: "f2", Size: 8}, {Name: "f3", Size: 8},
+	})
+	fieldRefs = [len(fieldNames)]pmm.FieldRef{
+		objType.Ref("f0"), objType.Ref("f1"), objType.Ref("f2"), objType.Ref("f3"),
+	}
+)
 
 // op is one generated operation. Kinds: 0 store, 1 atomic store, 2 release
 // store, 3 load, 4 clflush, 5 clwb, 6 sfence, 7 mfence, 8 cas, 9 memset.
@@ -98,25 +110,26 @@ func Generate(cfg Config, seed int64) (mk func() pmm.Program, nonAtomicFields ma
 			scripts[w] = append(scripts[w], o)
 		}
 	}
+	name := "fuzz-" + strconv.FormatInt(seed, 10)
+	labels := make([]string, cfg.Objects)
+	for i := range labels {
+		labels[i] = objLabel(i)
+	}
 	// The recovery script reads every field of every object.
 	mk = func() pmm.Program {
 		objs := make([]pmm.Struct, cfg.Objects)
 		return pmm.Program{
-			Name: fmt.Sprintf("fuzz-%d", seed),
+			Name: name,
 			Setup: func(h *pmm.Heap) {
-				layout := pmm.Layout{
-					{Name: "f0", Size: 8}, {Name: "f1", Size: 8},
-					{Name: "f2", Size: 8}, {Name: "f3", Size: 8},
-				}
 				for i := range objs {
-					objs[i] = h.AllocStruct(objLabel(i), layout)
+					objs[i] = h.AllocStruct(labels[i], objType)
 				}
 			},
 			Workers: workersFor(scripts, &objs),
 			PostCrash: func(t *pmm.Thread) {
 				for _, o := range objs {
-					for _, f := range fieldNames {
-						t.Load64(o.F(f))
+					for _, f := range fieldRefs {
+						t.Load64(o.At(f))
 					}
 				}
 			},
@@ -125,7 +138,7 @@ func Generate(cfg Config, seed int64) (mk func() pmm.Program, nonAtomicFields ma
 	return mk, nonAtomicFields
 }
 
-func objLabel(i int) string { return fmt.Sprintf("obj%d", i) }
+func objLabel(i int) string { return "obj" + strconv.Itoa(i) }
 
 // workersFor turns op scripts into thread functions over the shared objs
 // slice (filled during Setup).
@@ -136,7 +149,7 @@ func workersFor(scripts [][]op, objs *[]pmm.Struct) []func(*pmm.Thread) {
 		fns = append(fns, func(t *pmm.Thread) {
 			for _, o := range script {
 				obj := (*objs)[o.obj]
-				addr := obj.F(fieldNames[o.field])
+				addr := obj.At(fieldRefs[o.field])
 				switch o.kind {
 				case 0:
 					t.Store64(addr, o.val)

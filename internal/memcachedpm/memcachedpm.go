@@ -36,6 +36,23 @@ var ExpectedHarmful = []string{
 // ExpectedBenign are the checksum-guarded item payload races.
 var ExpectedBenign = []string{"item.checksum", "item.key", "item.value"}
 
+var (
+	poolType  = pmm.Compile(pmm.Layout{{Name: "valid", Size: 1}})
+	poolValid = poolType.Ref("valid")
+	slabType  = pmm.Compile(pmm.Layout{{Name: "id", Size: 8}})
+	slabID    = slabType.Ref("id")
+	chunkType = pmm.Compile(pmm.Layout{{Name: "it_flags", Size: 1}})
+	chunkFlag = chunkType.Ref("it_flags")
+	itemType  = pmm.Compile(pmm.Layout{
+		{Name: "cas", Size: 8}, {Name: "key", Size: 8},
+		{Name: "value", Size: 8}, {Name: "checksum", Size: 8},
+	})
+	itemCAS   = itemType.Ref("cas")
+	itemKey   = itemType.Ref("key")
+	itemValue = itemType.Ref("value")
+	itemSum   = itemType.Ref("checksum")
+)
+
 // Server is a miniature memcached-pmem instance.
 type Server struct {
 	pool   pmm.Struct // "pslab_pool_t" {valid}
@@ -48,13 +65,10 @@ type Server struct {
 // NewServer allocates the pool layout during Setup.
 func NewServer(h *pmm.Heap) *Server {
 	return &Server{
-		pool:   h.AllocStruct("pslab_pool_t", pmm.Layout{{Name: "valid", Size: 1}}),
-		slabs:  h.AllocArray("pslab_t", pmm.Layout{{Name: "id", Size: 8}}, NumSlabs),
-		chunks: h.AllocArray("item_chunk", pmm.Layout{{Name: "it_flags", Size: 1}}, NumSlabs*chunksPerSlab),
-		items: h.AllocArray("item", pmm.Layout{
-			{Name: "cas", Size: 8}, {Name: "key", Size: 8},
-			{Name: "value", Size: 8}, {Name: "checksum", Size: 8},
-		}, NumSlabs*ItemsPerSlab),
+		pool:   h.AllocStruct("pslab_pool_t", poolType),
+		slabs:  h.AllocArray("pslab_t", slabType, NumSlabs),
+		chunks: h.AllocArray("item_chunk", chunkType, NumSlabs*chunksPerSlab),
+		items:  h.AllocArray("item", itemType, NumSlabs*ItemsPerSlab),
 	}
 }
 
@@ -62,12 +76,12 @@ func NewServer(h *pmm.Heap) *Server {
 // and each slab gets its id — both plain stores (bugs #2/#3).
 func (s *Server) Startup(t *pmm.Thread) {
 	// Bug #2: plain store to the pool validity flag.
-	t.Store8(s.pool.F("valid"), 0)
-	t.CLFlush(s.pool.F("valid"))
+	t.Store8(s.pool.At(poolValid), 0)
+	t.CLFlush(s.pool.At(poolValid))
 	for i := 0; i < NumSlabs; i++ {
 		// Bug #3: plain store to the slab id.
-		t.Store64(s.slabs.At(i).F("id"), uint64(i+1))
-		t.CLFlush(s.slabs.At(i).F("id"))
+		t.Store64(s.slabs.At(i).At(slabID), uint64(i+1))
+		t.CLFlush(s.slabs.At(i).At(slabID))
 	}
 	t.SFence()
 }
@@ -88,20 +102,20 @@ func (s *Server) SetItem(t *pmm.Thread, idx int, key, value uint64) {
 	chunk := s.chunks.At(idx)
 	item := s.items.At(idx)
 	// Bug #4: plain store to the chunk flags (ITEM_LINKED etc.).
-	t.Store8(chunk.F("it_flags"), 1)
-	t.Store64(item.F("key"), key)
-	t.Store64(item.F("value"), value)
+	t.Store8(chunk.At(chunkFlag), 1)
+	t.Store64(item.At(itemKey), key)
+	t.Store64(item.At(itemValue), value)
 	// Bug #5: plain store to the item CAS counter.
-	t.Store64(item.F("cas"), cas)
-	t.Store64(item.F("checksum"), itemChecksum(key, value, cas))
+	t.Store64(item.At(itemCAS), cas)
+	t.Store64(item.At(itemSum), itemChecksum(key, value, cas))
 	t.Persist(chunk.Base(), chunk.Size())
 	t.Persist(item.Base(), item.Size())
 }
 
 // Shutdown marks the pool cleanly closed (valid=1), again a plain store.
 func (s *Server) Shutdown(t *pmm.Thread) {
-	t.Store8(s.pool.F("valid"), 1)
-	t.CLFlush(s.pool.F("valid"))
+	t.Store8(s.pool.At(poolValid), 1)
+	t.CLFlush(s.pool.At(poolValid))
 	t.SFence()
 }
 
@@ -117,26 +131,26 @@ type RecoveredItem struct {
 // validates item payloads under the checksum guard (benign races).
 func (s *Server) Restart(t *pmm.Thread) (valid bool, out []RecoveredItem) {
 	// Bug #2's observing load.
-	valid = t.Load8(s.pool.F("valid")) == 1
+	valid = t.Load8(s.pool.At(poolValid)) == 1
 	for i := 0; i < NumSlabs; i++ {
 		// Bug #3's observing load.
-		_ = t.Load64(s.slabs.At(i).F("id"))
+		_ = t.Load64(s.slabs.At(i).At(slabID))
 	}
 	for i := 0; i < NumSlabs*ItemsPerSlab; i++ {
 		chunk, item := s.chunks.At(i), s.items.At(i)
 		// Bug #4's observing load.
-		linked := t.Load8(chunk.F("it_flags")) == 1
+		linked := t.Load8(chunk.At(chunkFlag)) == 1
 		if !linked {
 			out = append(out, RecoveredItem{})
 			continue
 		}
 		// Bug #5's observing load.
-		cas := t.Load64(item.F("cas"))
+		cas := t.Load64(item.At(itemCAS))
 		var key, value, stored uint64
 		t.ChecksumGuard(func() {
-			key = t.Load64(item.F("key"))
-			value = t.Load64(item.F("value"))
-			stored = t.Load64(item.F("checksum"))
+			key = t.Load64(item.At(itemKey))
+			value = t.Load64(item.At(itemValue))
+			stored = t.Load64(item.At(itemSum))
 		})
 		ok := stored == itemChecksum(key, value, cas)
 		ri := RecoveredItem{Linked: true, ChecksumOK: ok}
@@ -294,7 +308,7 @@ func NewClientServer(numItems int, stats *Stats) func() pmm.Program {
 // persisted.
 func (s *Server) DeleteItem(t *pmm.Thread, idx int) {
 	chunk := s.chunks.At(idx)
-	t.Store8(chunk.F("it_flags"), 0)
+	t.Store8(chunk.At(chunkFlag), 0)
 	t.Persist(chunk.Base(), chunk.Size())
 }
 
@@ -303,7 +317,7 @@ func (s *Server) DeleteItem(t *pmm.Thread, idx int) {
 // is one more observing site for bug #5.
 func (s *Server) CASSet(t *pmm.Thread, idx int, expectedCAS, key, value uint64) bool {
 	item := s.items.At(idx)
-	if t.Load64(item.F("cas")) != expectedCAS {
+	if t.Load64(item.At(itemCAS)) != expectedCAS {
 		return false
 	}
 	s.SetItem(t, idx, key, value)

@@ -25,6 +25,11 @@ type Allocator struct {
 	size  int
 }
 
+var (
+	pallocType = pmm.Compile(pmm.Layout{{Name: "bump", Size: 8}})
+	pallocBump = pallocType.Ref("bump")
+)
+
 // ArenaSize is the default arena capacity in bytes.
 const ArenaSize = 4096
 
@@ -33,7 +38,7 @@ func NewAllocator(p *Pool) *Allocator {
 	a := &Allocator{
 		pool:  p,
 		log:   NewRedoLog(p),
-		hdr:   p.h.AllocStruct("palloc", pmm.Layout{{Name: "bump", Size: 8}}),
+		hdr:   p.h.AllocStruct("palloc", pallocType),
 		arena: p.h.AllocRaw("palloc_arena", ArenaSize),
 		size:  ArenaSize,
 	}
@@ -46,17 +51,17 @@ func NewAllocator(p *Pool) *Allocator {
 // or the new bump value, never a torn one.
 func (a *Allocator) Alloc(t *pmm.Thread, size int) pmm.Addr {
 	size = (size + 15) &^ 15
-	cur := t.LoadAcquire64(a.hdr.F("bump"))
+	cur := t.LoadAcquire64(a.hdr.At(pallocBump))
 	if int(cur)+size > a.size {
 		return 0
 	}
-	a.log.Stage(t, a.hdr.F("bump"), cur+uint64(size))
+	a.log.Stage(t, a.hdr.At(pallocBump), cur+uint64(size))
 	a.log.Process(t)
 	return a.arena + pmm.Addr(cur)
 }
 
 // Used returns the persistent bump offset.
-func (a *Allocator) Used(t *pmm.Thread) uint64 { return t.LoadAcquire64(a.hdr.F("bump")) }
+func (a *Allocator) Used(t *pmm.Thread) uint64 { return t.LoadAcquire64(a.hdr.At(pallocBump)) }
 
 // Recover replays an interrupted bump update.
 func (a *Allocator) Recover(t *pmm.Thread) (applied int, valid bool) {

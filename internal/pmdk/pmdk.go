@@ -31,6 +31,21 @@ const LayoutVersion = 1
 // poolHdrMagic identifies a yashme-pmdk pool (pmemobj's POOL_HDR_SIG).
 const poolHdrMagic = uint64(0x504D454D4F424A31) // "PMEMOBJ1"
 
+var (
+	poolHdrType = pmm.Compile(pmm.Layout{{Name: "magic", Size: 8}, {Name: "version", Size: 8}})
+	hdrMagic    = poolHdrType.Ref("magic")
+	hdrVersion  = poolHdrType.Ref("version")
+
+	ulogType     = pmm.Compile(pmm.Layout{{Name: "entry_ptr", Size: 8}, {Name: "checksum", Size: 8}})
+	ulogEntryPtr = ulogType.Ref("entry_ptr")
+	ulogChecksum = ulogType.Ref("checksum")
+
+	ulogEntryType   = pmm.Compile(pmm.Layout{{Name: "offset", Size: 8}, {Name: "value", Size: 8}, {Name: "size8", Size: 8}})
+	ulogEntryOffset = ulogEntryType.Ref("offset")
+	ulogEntryValue  = ulogEntryType.Ref("value")
+	ulogEntrySize8  = ulogEntryType.Ref("size8")
+)
+
 // Pool is a miniature libpmemobj pool: a versioned header, an undo log and
 // a bump allocator over the simulated persistent heap.
 type Pool struct {
@@ -48,23 +63,13 @@ type Pool struct {
 // and syncs it before any transaction runs.
 func NewPool(h *pmm.Heap) *Pool {
 	p := &Pool{
-		h: h,
-		hdr: h.AllocStruct("pool_hdr", pmm.Layout{
-			{Name: "magic", Size: 8},
-			{Name: "version", Size: 8},
-		}),
-		ulog: h.AllocStruct("ulog", pmm.Layout{
-			{Name: "entry_ptr", Size: 8},
-			{Name: "checksum", Size: 8},
-		}),
-		entries: h.AllocArray("ulog_entry", pmm.Layout{
-			{Name: "offset", Size: 8},
-			{Name: "value", Size: 8},
-			{Name: "size8", Size: 8},
-		}, ULogCap),
+		h:       h,
+		hdr:     h.AllocStruct("pool_hdr", poolHdrType),
+		ulog:    h.AllocStruct("ulog", ulogType),
+		entries: h.AllocArray("ulog_entry", ulogEntryType, ULogCap),
 	}
-	h.Init(p.hdr.F("magic"), 8, poolHdrMagic)
-	h.Init(p.hdr.F("version"), 8, LayoutVersion)
+	h.Init(p.hdr.At(hdrMagic), 8, poolHdrMagic)
+	h.Init(p.hdr.At(hdrVersion), 8, LayoutVersion)
 	return p
 }
 
@@ -72,10 +77,10 @@ func NewPool(h *pmm.Heap) *Pool {
 // must match. Header fields are creation-time initial values (never
 // rewritten), so these reads can never race.
 func (p *Pool) ValidateHeader(t *pmm.Thread) error {
-	if got := t.Load64(p.hdr.F("magic")); got != poolHdrMagic {
+	if got := t.Load64(p.hdr.At(hdrMagic)); got != poolHdrMagic {
 		return fmt.Errorf("pmdk: bad pool magic %#x", got)
 	}
-	if got := t.Load64(p.hdr.F("version")); got != LayoutVersion {
+	if got := t.Load64(p.hdr.At(hdrVersion)); got != LayoutVersion {
 		return fmt.Errorf("pmdk: unsupported layout version %d", got)
 	}
 	return nil
@@ -111,16 +116,16 @@ func (tx *Tx) Add(addr pmm.Addr) {
 	e := tx.pool.entries.At(tx.n)
 	old := t.Load64(addr)
 	// Benign races (checksum-guarded consumers): plain entry stores.
-	t.Store64(e.F("offset"), uint64(addr))
-	t.Store64(e.F("value"), old)
-	t.Store64(e.F("size8"), 8)
+	t.Store64(e.At(ulogEntryOffset), uint64(addr))
+	t.Store64(e.At(ulogEntryValue), old)
+	t.Store64(e.At(ulogEntrySize8), 8)
 	t.Persist(e.Base(), e.Size())
 	// Benign race: plain checksum store, validated before use.
-	t.Store64(tx.pool.ulog.F("checksum"), tx.pool.computeChecksum(t, tx.n+1))
-	t.Persist(tx.pool.ulog.F("checksum"), 8)
+	t.Store64(tx.pool.ulog.At(ulogChecksum), tx.pool.computeChecksum(t, tx.n+1))
+	t.Persist(tx.pool.ulog.At(ulogChecksum), 8)
 	// BUG (Table 4 #1): plain store to the ulog entry pointer.
-	t.Store64(tx.pool.ulog.F("entry_ptr"), uint64(tx.n+1))
-	t.Persist(tx.pool.ulog.F("entry_ptr"), 8)
+	t.Store64(tx.pool.ulog.At(ulogEntryPtr), uint64(tx.n+1))
+	t.Persist(tx.pool.ulog.At(ulogEntryPtr), 8)
 	tx.n++
 }
 
@@ -137,8 +142,8 @@ func (tx *Tx) Set(addr pmm.Addr, val uint64) {
 // as clean.
 func (tx *Tx) Commit() {
 	t := tx.t
-	t.Store64(tx.pool.ulog.F("entry_ptr"), 0)
-	t.Persist(tx.pool.ulog.F("entry_ptr"), 8)
+	t.Store64(tx.pool.ulog.At(ulogEntryPtr), 0)
+	t.Persist(tx.pool.ulog.At(ulogEntryPtr), 8)
 	tx.n = 0
 }
 
@@ -150,13 +155,13 @@ func (tx *Tx) Abort() {
 	t := tx.t
 	for i := tx.n - 1; i >= 0; i-- {
 		e := tx.pool.entries.At(i)
-		off := t.Load64(e.F("offset"))
-		val := t.Load64(e.F("value"))
+		off := t.Load64(e.At(ulogEntryOffset))
+		val := t.Load64(e.At(ulogEntryValue))
 		t.Store64(pmm.Addr(off), val)
 		t.Persist(pmm.Addr(off), 8)
 	}
-	t.Store64(tx.pool.ulog.F("entry_ptr"), 0)
-	t.Persist(tx.pool.ulog.F("entry_ptr"), 8)
+	t.Store64(tx.pool.ulog.At(ulogEntryPtr), 0)
+	t.Persist(tx.pool.ulog.At(ulogEntryPtr), 8)
 	tx.n = 0
 }
 
@@ -166,8 +171,8 @@ func (p *Pool) computeChecksum(t *pmm.Thread, n int) uint64 {
 	sum := uint64(0xCBF29CE484222325)
 	for i := 0; i < n; i++ {
 		e := p.entries.At(i)
-		sum = (sum ^ t.Load64(e.F("offset"))) * 0x100000001B3
-		sum = (sum ^ t.Load64(e.F("value"))) * 0x100000001B3
+		sum = (sum ^ t.Load64(e.At(ulogEntryOffset))) * 0x100000001B3
+		sum = (sum ^ t.Load64(e.At(ulogEntryValue))) * 0x100000001B3
 	}
 	return sum
 }
@@ -182,21 +187,21 @@ func (p *Pool) Recover(t *pmm.Thread) (rolledBack int, valid bool) {
 	}
 	// Harmful race: entry_ptr read with no guard (pmemobj must read it to
 	// find the log before it can validate anything).
-	n := t.Load64(p.ulog.F("entry_ptr"))
+	n := t.Load64(p.ulog.At(ulogEntryPtr))
 	if n == 0 || n > ULogCap {
 		return 0, true // clean shutdown (or garbage pointer: nothing to do)
 	}
 	valid = false
 	t.ChecksumGuard(func() {
-		stored := t.Load64(p.ulog.F("checksum"))
+		stored := t.Load64(p.ulog.At(ulogChecksum))
 		valid = stored == p.computeChecksum(t, int(n))
 		// Sanity-scan the rest of the log region, as pmemobj does when it
 		// validates a ulog block: these reads can observe the in-flight
 		// entry a crash interrupted — benign races, caught right here.
 		for i := int(n); i < ULogCap; i++ {
 			e := p.entries.At(i)
-			_ = t.Load64(e.F("offset"))
-			_ = t.Load64(e.F("value"))
+			_ = t.Load64(e.At(ulogEntryOffset))
+			_ = t.Load64(e.At(ulogEntryValue))
 		}
 	})
 	if !valid {
@@ -207,15 +212,15 @@ func (p *Pool) Recover(t *pmm.Thread) (rolledBack int, valid bool) {
 		e := p.entries.At(i)
 		var off, val uint64
 		t.ChecksumGuard(func() {
-			off = t.Load64(e.F("offset"))
-			val = t.Load64(e.F("value"))
+			off = t.Load64(e.At(ulogEntryOffset))
+			val = t.Load64(e.At(ulogEntryValue))
 		})
 		t.Store64(pmm.Addr(off), val)
 		t.Persist(pmm.Addr(off), 8)
 		rolledBack++
 	}
-	t.Store64(p.ulog.F("entry_ptr"), 0)
-	t.Persist(p.ulog.F("entry_ptr"), 8)
+	t.Store64(p.ulog.At(ulogEntryPtr), 0)
+	t.Persist(p.ulog.At(ulogEntryPtr), 8)
 	return rolledBack, true
 }
 
@@ -226,21 +231,21 @@ func (p *Pool) Recover(t *pmm.Thread) (rolledBack int, valid bool) {
 func (p *Pool) RecoverGuarded(t *pmm.Thread) (rolledBack int, valid bool) {
 	var n uint64
 	t.ChecksumGuard(func() {
-		n = t.Load64(p.ulog.F("entry_ptr"))
+		n = t.Load64(p.ulog.At(ulogEntryPtr))
 	})
 	if n == 0 || n > ULogCap {
 		return 0, true
 	}
 	valid = false
 	t.ChecksumGuard(func() {
-		stored := t.Load64(p.ulog.F("checksum"))
+		stored := t.Load64(p.ulog.At(ulogChecksum))
 		valid = stored == p.computeChecksum(t, int(n))
 		// Same whole-region sanity scan as Recover, still under the guard:
 		// the reads can observe the in-flight entry a crash interrupted.
 		for i := int(n); i < ULogCap; i++ {
 			e := p.entries.At(i)
-			_ = t.Load64(e.F("offset"))
-			_ = t.Load64(e.F("value"))
+			_ = t.Load64(e.At(ulogEntryOffset))
+			_ = t.Load64(e.At(ulogEntryValue))
 		}
 	})
 	if !valid {
@@ -250,8 +255,8 @@ func (p *Pool) RecoverGuarded(t *pmm.Thread) (rolledBack int, valid bool) {
 		e := p.entries.At(i)
 		var off, val uint64
 		t.ChecksumGuard(func() {
-			off = t.Load64(e.F("offset"))
-			val = t.Load64(e.F("value"))
+			off = t.Load64(e.At(ulogEntryOffset))
+			val = t.Load64(e.At(ulogEntryValue))
 		})
 		if off == 0 {
 			continue
@@ -260,8 +265,8 @@ func (p *Pool) RecoverGuarded(t *pmm.Thread) (rolledBack int, valid bool) {
 		t.Persist(pmm.Addr(off), 8)
 		rolledBack++
 	}
-	t.Store64(p.ulog.F("entry_ptr"), 0)
-	t.Persist(p.ulog.F("entry_ptr"), 8)
+	t.Store64(p.ulog.At(ulogEntryPtr), 0)
+	t.Persist(p.ulog.At(ulogEntryPtr), 8)
 	return rolledBack, true
 }
 

@@ -106,7 +106,7 @@ func TestRollbackRestoresPreTxState(t *testing.T) {
 			Name: "rollback",
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
-				x = h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 				h.Init(x, 8, 100)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -138,7 +138,7 @@ func TestCommittedTxSurvives(t *testing.T) {
 			Name: "committed",
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
-				x = h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				tx := pool.TxBegin(t)
@@ -267,7 +267,7 @@ func TestTxAbortRestoresInPlace(t *testing.T) {
 			Name: "abort",
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
-				x = h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 				h.Init(x, 8, 100)
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {

@@ -19,21 +19,25 @@ type RedoLog struct {
 	staged  int
 }
 
+var (
+	redoType     = pmm.Compile(pmm.Layout{{Name: "nentries", Size: 8}, {Name: "checksum", Size: 8}})
+	redoNEntries = redoType.Ref("nentries")
+	redoChecksum = redoType.Ref("checksum")
+
+	redoEntryType   = pmm.Compile(pmm.Layout{{Name: "offset", Size: 8}, {Name: "value", Size: 8}})
+	redoEntryOffset = redoEntryType.Ref("offset")
+	redoEntryValue  = redoEntryType.Ref("value")
+)
+
 // RedoCap is the redo-log capacity in entries.
 const RedoCap = 16
 
 // NewRedoLog allocates a redo log in the pool during Setup.
 func NewRedoLog(p *Pool) *RedoLog {
 	return &RedoLog{
-		pool: p,
-		hdr: p.h.AllocStruct("redo", pmm.Layout{
-			{Name: "nentries", Size: 8},
-			{Name: "checksum", Size: 8},
-		}),
-		entries: p.h.AllocArray("redo_entry", pmm.Layout{
-			{Name: "offset", Size: 8},
-			{Name: "value", Size: 8},
-		}, RedoCap),
+		pool:    p,
+		hdr:     p.h.AllocStruct("redo", redoType),
+		entries: p.h.AllocArray("redo_entry", redoEntryType, RedoCap),
 	}
 }
 
@@ -45,8 +49,8 @@ func (r *RedoLog) Stage(t *pmm.Thread, addr pmm.Addr, val uint64) {
 		panic("pmdk: redo log full")
 	}
 	e := r.entries.At(r.staged)
-	t.Store64(e.F("offset"), uint64(addr))
-	t.Store64(e.F("value"), val)
+	t.Store64(e.At(redoEntryOffset), uint64(addr))
+	t.Store64(e.At(redoEntryValue), val)
 	t.Persist(e.Base(), e.Size())
 	r.staged++
 }
@@ -57,23 +61,23 @@ func (r *RedoLog) Process(t *pmm.Thread) {
 	if r.staged == 0 {
 		return
 	}
-	t.Store64(r.hdr.F("checksum"), r.checksum(t, r.staged))
-	t.Persist(r.hdr.F("checksum"), 8)
+	t.Store64(r.hdr.At(redoChecksum), r.checksum(t, r.staged))
+	t.Persist(r.hdr.At(redoChecksum), 8)
 	// The fix: atomic release publication of the valid-entry count.
-	t.StoreRelease64(r.hdr.F("nentries"), uint64(r.staged))
-	t.Persist(r.hdr.F("nentries"), 8)
+	t.StoreRelease64(r.hdr.At(redoNEntries), uint64(r.staged))
+	t.Persist(r.hdr.At(redoNEntries), 8)
 	r.apply(t, r.staged)
 	// Retire: atomic clear, persisted.
-	t.StoreRelease64(r.hdr.F("nentries"), 0)
-	t.Persist(r.hdr.F("nentries"), 8)
+	t.StoreRelease64(r.hdr.At(redoNEntries), 0)
+	t.Persist(r.hdr.At(redoNEntries), 8)
 	r.staged = 0
 }
 
 func (r *RedoLog) apply(t *pmm.Thread, n int) {
 	for i := 0; i < n; i++ {
 		e := r.entries.At(i)
-		off := t.Load64(e.F("offset"))
-		val := t.Load64(e.F("value"))
+		off := t.Load64(e.At(redoEntryOffset))
+		val := t.Load64(e.At(redoEntryValue))
 		t.Store64(pmm.Addr(off), val)
 		t.Persist(pmm.Addr(off), 8)
 	}
@@ -83,8 +87,8 @@ func (r *RedoLog) checksum(t *pmm.Thread, n int) uint64 {
 	sum := uint64(0xCBF29CE484222325)
 	for i := 0; i < n; i++ {
 		e := r.entries.At(i)
-		sum = (sum ^ t.Load64(e.F("offset"))) * 0x100000001B3
-		sum = (sum ^ t.Load64(e.F("value"))) * 0x100000001B3
+		sum = (sum ^ t.Load64(e.At(redoEntryOffset))) * 0x100000001B3
+		sum = (sum ^ t.Load64(e.At(redoEntryValue))) * 0x100000001B3
 	}
 	return sum
 }
@@ -93,20 +97,20 @@ func (r *RedoLog) checksum(t *pmm.Thread, n int) uint64 {
 // with an acquire load (atomic — no race); entry contents are validated
 // under the checksum guard before being applied.
 func (r *RedoLog) Recover(t *pmm.Thread) (applied int, valid bool) {
-	n := t.LoadAcquire64(r.hdr.F("nentries"))
+	n := t.LoadAcquire64(r.hdr.At(redoNEntries))
 	if n == 0 || n > RedoCap {
 		return 0, true
 	}
 	valid = false
 	t.ChecksumGuard(func() {
-		stored := t.Load64(r.hdr.F("checksum"))
+		stored := t.Load64(r.hdr.At(redoChecksum))
 		valid = stored == r.checksum(t, int(n))
 	})
 	if !valid {
 		return 0, false
 	}
 	r.apply(t, int(n))
-	t.StoreRelease64(r.hdr.F("nentries"), 0)
-	t.Persist(r.hdr.F("nentries"), 8)
+	t.StoreRelease64(r.hdr.At(redoNEntries), 0)
+	t.Persist(r.hdr.At(redoNEntries), 8)
 	return int(n), true
 }

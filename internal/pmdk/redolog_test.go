@@ -20,7 +20,7 @@ func redoDriver(stats *Stats) func() pmm.Program {
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
 				rl = NewRedoLog(pool)
-				obj := h.AllocStruct("counters", pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+				obj := h.AllocStruct("counters", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 				a, b = obj.F("a"), obj.F("b")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
@@ -90,7 +90,7 @@ func TestRedoLogFullRunAppliesEverything(t *testing.T) {
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
 				rl = NewRedoLog(pool)
-				a = h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}}).F("a")
+				a = h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}})).F("a")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				rl.Stage(t, a, 99)
@@ -120,7 +120,7 @@ func TestRedoLogReplayAfterMidProcessCrash(t *testing.T) {
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
 				rl = NewRedoLog(pool)
-				a = h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}}).F("a")
+				a = h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}})).F("a")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				rl.Stage(t, a, 7)
@@ -168,7 +168,7 @@ func TestRedoLogStageOverflowPanics(t *testing.T) {
 			Setup: func(h *pmm.Heap) {
 				pool = NewPool(h)
 				rl = NewRedoLog(pool)
-				a = h.AllocStruct("obj", pmm.Layout{{Name: "a", Size: 8}}).F("a")
+				a = h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}})).F("a")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				for i := 0; i <= RedoCap; i++ {

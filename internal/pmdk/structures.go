@@ -1,6 +1,8 @@
 package pmdk
 
 import (
+	"strconv"
+
 	"yashme/internal/pmm"
 )
 
@@ -23,27 +25,48 @@ func (p *Pool) node(addr uint64) (pmm.Struct, bool) {
 	return p.h.StructAt(pmm.Addr(addr))
 }
 
+// metaType is the {root} struct shared by the three trees' metadata.
+var (
+	metaType = pmm.Compile(pmm.Layout{{Name: "root", Size: 8}})
+	metaRoot = metaType.Ref("root")
+)
+
 // --- BTree (order-4, tx-logged) ---
 
 // BTreeOrder is the number of keys per node in the mini BTree.
 const BTreeOrder = 4
 
-var btreeNodeLayout = func() pmm.Layout {
+var btreeNodeType = func() *pmm.Type {
 	l := pmm.Layout{{Name: "n", Size: 8}, {Name: "leaf", Size: 8}}
 	for i := 0; i < BTreeOrder; i++ {
 		l = append(l,
-			pmm.FieldDef{Name: bKey(i), Size: 8},
-			pmm.FieldDef{Name: bVal(i), Size: 8})
+			pmm.FieldDef{Name: "key" + strconv.Itoa(i), Size: 8},
+			pmm.FieldDef{Name: "val" + strconv.Itoa(i), Size: 8})
 	}
 	for i := 0; i <= BTreeOrder; i++ {
-		l = append(l, pmm.FieldDef{Name: bChild(i), Size: 8})
+		l = append(l, pmm.FieldDef{Name: "child" + strconv.Itoa(i), Size: 8})
 	}
-	return l
+	return pmm.Compile(l)
 }()
 
-func bKey(i int) string   { return "key" + string(rune('0'+i)) }
-func bVal(i int) string   { return "val" + string(rune('0'+i)) }
-func bChild(i int) string { return "child" + string(rune('0'+i)) }
+// Field refs of btree_node, with the key/value/child slots indexed.
+var (
+	btreeN    = btreeNodeType.Ref("n")
+	btreeLeaf = btreeNodeType.Ref("leaf")
+	bKey      [BTreeOrder]pmm.FieldRef
+	bVal      [BTreeOrder]pmm.FieldRef
+	bChild    [BTreeOrder + 1]pmm.FieldRef
+)
+
+func init() {
+	for i := range bChild {
+		if i < BTreeOrder {
+			bKey[i] = btreeNodeType.Ref("key" + strconv.Itoa(i))
+			bVal[i] = btreeNodeType.Ref("val" + strconv.Itoa(i))
+		}
+		bChild[i] = btreeNodeType.Ref("child" + strconv.Itoa(i))
+	}
+}
 
 // BTree is the PMDK btree example: an order-4 B+-tree (values live in the
 // leaves; interior keys are separators) where every reachable mutation is
@@ -55,22 +78,22 @@ type BTree struct {
 
 // NewBTree allocates the tree metadata and an empty leaf root during Setup.
 func NewBTree(p *Pool) *BTree {
-	bt := &BTree{pool: p, meta: p.h.AllocStruct("btree_meta", pmm.Layout{{Name: "root", Size: 8}})}
-	root := p.h.AllocStruct("btree_node", btreeNodeLayout)
-	p.h.Init(root.F("leaf"), 8, 1)
-	p.h.Init(bt.meta.F("root"), 8, uint64(root.Base()))
+	bt := &BTree{pool: p, meta: p.h.AllocStruct("btree_meta", metaType)}
+	root := p.h.AllocStruct("btree_node", btreeNodeType)
+	p.h.Init(root.At(btreeLeaf), 8, 1)
+	p.h.Init(bt.meta.At(metaRoot), 8, uint64(root.Base()))
 	return bt
 }
 
 // newNode allocates and persists a fresh node (unreachable until linked).
 func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
-	n := bt.pool.h.AllocStruct("btree_node", btreeNodeLayout)
+	n := bt.pool.h.AllocStruct("btree_node", btreeNodeType)
 	var lv uint64
 	if leaf {
 		lv = 1
 	}
-	t.Store64(n.F("leaf"), lv)
-	t.Store64(n.F("n"), 0)
+	t.Store64(n.At(btreeLeaf), lv)
+	t.Store64(n.At(btreeN), 0)
 	t.Persist(n.Base(), n.Size())
 	return n
 }
@@ -79,34 +102,34 @@ func (bt *BTree) newNode(t *pmm.Thread, leaf bool) pmm.Struct {
 // before the descent enters it (a full root first grows the tree by one
 // level), so the leaf the descent reaches always has room.
 func (bt *BTree) Insert(t *pmm.Thread, key, val uint64) {
-	rootAddr := t.Load64(bt.meta.F("root"))
+	rootAddr := t.Load64(bt.meta.At(metaRoot))
 	x, _ := bt.pool.node(rootAddr)
-	leaf := t.Load64(x.F("leaf")) == 1
-	if int(t.Load64(x.F("n"))) >= BTreeOrder {
+	leaf := t.Load64(x.At(btreeLeaf)) == 1
+	if int(t.Load64(x.At(btreeN))) >= BTreeOrder {
 		x = bt.growRoot(t, x)
 		leaf = false
 	}
 	for !leaf {
 		pos, child := bt.routeChild(t, x, key)
-		if int(t.Load64(child.F("n"))) >= BTreeOrder {
+		if int(t.Load64(child.At(btreeN))) >= BTreeOrder {
 			bt.splitChild(t, x, child, pos)
 			_, child = bt.routeChild(t, x, key)
 		}
 		x = child
-		leaf = t.Load64(x.F("leaf")) == 1
+		leaf = t.Load64(x.At(btreeLeaf)) == 1
 	}
 	bt.leafInsert(t, x, key, val)
 }
 
 func (bt *BTree) routeChild(t *pmm.Thread, root pmm.Struct, key uint64) (int, pmm.Struct) {
-	n := int(t.Load64(root.F("n")))
+	n := int(t.Load64(root.At(btreeN)))
 	idx := 0
 	for ; idx < n; idx++ {
-		if key <= t.Load64(root.F(bKey(idx))) {
+		if key <= t.Load64(root.At(bKey[idx])) {
 			break
 		}
 	}
-	childAddr := t.Load64(root.F(bChild(idx)))
+	childAddr := t.Load64(root.At(bChild[idx]))
 	c, _ := bt.pool.node(childAddr)
 	return idx, c
 }
@@ -117,10 +140,10 @@ func (bt *BTree) routeChild(t *pmm.Thread, root pmm.Struct, key uint64) (int, pm
 // one child).
 func (bt *BTree) growRoot(t *pmm.Thread, old pmm.Struct) pmm.Struct {
 	root := bt.newNode(t, false)
-	t.Store64(root.F(bChild(0)), uint64(old.Base()))
+	t.Store64(root.At(bChild[0]), uint64(old.Base()))
 	t.Persist(root.Base(), root.Size())
 	tx := bt.pool.TxBegin(t)
-	tx.Set(bt.meta.F("root"), uint64(root.Base()))
+	tx.Set(bt.meta.At(metaRoot), uint64(root.Base()))
 	tx.Commit()
 	bt.splitChild(t, root, old, 0)
 	return root
@@ -133,75 +156,75 @@ func (bt *BTree) growRoot(t *pmm.Thread, old pmm.Struct) pmm.Struct {
 // and hands the children right of it to the sibling.
 func (bt *BTree) splitChild(t *pmm.Thread, parent, child pmm.Struct, pos int) {
 	half := BTreeOrder / 2
-	leaf := t.Load64(child.F("leaf")) == 1
+	leaf := t.Load64(child.At(btreeLeaf)) == 1
 	sib := bt.newNode(t, leaf)
 	for i := half; i < BTreeOrder; i++ {
-		t.Store64(sib.F(bKey(i-half)), t.Load64(child.F(bKey(i))))
+		t.Store64(sib.At(bKey[i-half]), t.Load64(child.At(bKey[i])))
 		if leaf {
-			t.Store64(sib.F(bVal(i-half)), t.Load64(child.F(bVal(i))))
+			t.Store64(sib.At(bVal[i-half]), t.Load64(child.At(bVal[i])))
 		}
 	}
 	keep := half
 	if !leaf {
 		for i := half; i <= BTreeOrder; i++ {
-			t.Store64(sib.F(bChild(i-half)), t.Load64(child.F(bChild(i))))
+			t.Store64(sib.At(bChild[i-half]), t.Load64(child.At(bChild[i])))
 		}
 		keep = half - 1
 	}
-	t.Store64(sib.F("n"), uint64(BTreeOrder-half))
+	t.Store64(sib.At(btreeN), uint64(BTreeOrder-half))
 	t.Persist(sib.Base(), sib.Size())
-	sep := t.Load64(child.F(bKey(half - 1)))
+	sep := t.Load64(child.At(bKey[half-1]))
 
 	tx := bt.pool.TxBegin(t)
-	n := int(t.Load64(parent.F("n")))
+	n := int(t.Load64(parent.At(btreeN)))
 	// Shift parent keys/children right of pos up by one.
 	for i := n - 1; i >= pos; i-- {
-		tx.Set(parent.F(bKey(i+1)), t.Load64(parent.F(bKey(i))))
-		tx.Set(parent.F(bChild(i+2)), t.Load64(parent.F(bChild(i+1))))
+		tx.Set(parent.At(bKey[i+1]), t.Load64(parent.At(bKey[i])))
+		tx.Set(parent.At(bChild[i+2]), t.Load64(parent.At(bChild[i+1])))
 	}
-	tx.Set(parent.F(bKey(pos)), sep)
-	tx.Set(parent.F(bChild(pos+1)), uint64(sib.Base()))
-	tx.Set(parent.F("n"), uint64(n+1))
-	tx.Set(child.F("n"), uint64(keep))
+	tx.Set(parent.At(bKey[pos]), sep)
+	tx.Set(parent.At(bChild[pos+1]), uint64(sib.Base()))
+	tx.Set(parent.At(btreeN), uint64(n+1))
+	tx.Set(child.At(btreeN), uint64(keep))
 	tx.Commit()
 }
 
 // leafInsert shifts larger keys right and installs the pair, all tx-logged.
 func (bt *BTree) leafInsert(t *pmm.Thread, leaf pmm.Struct, key, val uint64) {
 	tx := bt.pool.TxBegin(t)
-	n := int(t.Load64(leaf.F("n")))
+	n := int(t.Load64(leaf.At(btreeN)))
 	i := n - 1
 	for ; i >= 0; i-- {
-		k := t.Load64(leaf.F(bKey(i)))
+		k := t.Load64(leaf.At(bKey[i]))
 		if k <= key {
 			break
 		}
-		tx.Set(leaf.F(bKey(i+1)), k)
-		tx.Set(leaf.F(bVal(i+1)), t.Load64(leaf.F(bVal(i))))
+		tx.Set(leaf.At(bKey[i+1]), k)
+		tx.Set(leaf.At(bVal[i+1]), t.Load64(leaf.At(bVal[i])))
 	}
-	tx.Set(leaf.F(bKey(i+1)), key)
-	tx.Set(leaf.F(bVal(i+1)), val)
-	tx.Set(leaf.F("n"), uint64(n+1))
+	tx.Set(leaf.At(bKey[i+1]), key)
+	tx.Set(leaf.At(bVal[i+1]), val)
+	tx.Set(leaf.At(btreeN), uint64(n+1))
 	tx.Commit()
 }
 
 // Get looks a key up.
 func (bt *BTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
-	rootAddr := t.Load64(bt.meta.F("root"))
+	rootAddr := t.Load64(bt.meta.At(metaRoot))
 	n, ok := bt.pool.node(rootAddr)
 	if !ok {
 		return 0, false
 	}
-	for t.Load64(n.F("leaf")) == 0 {
+	for t.Load64(n.At(btreeLeaf)) == 0 {
 		_, n = bt.routeChild(t, n, key)
 	}
-	cnt := int(t.Load64(n.F("n")))
+	cnt := int(t.Load64(n.At(btreeN)))
 	if cnt > BTreeOrder {
 		cnt = BTreeOrder
 	}
 	for i := 0; i < cnt; i++ {
-		if t.Load64(n.F(bKey(i))) == key {
-			return t.Load64(n.F(bVal(i))), true
+		if t.Load64(n.At(bKey[i])) == key {
+			return t.Load64(n.At(bVal[i])), true
 		}
 	}
 	return 0, false
@@ -209,10 +232,16 @@ func (bt *BTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 
 // --- CTree (crit-bit-style binary tree, tx-logged) ---
 
-var ctreeNodeLayout = pmm.Layout{
-	{Name: "key", Size: 8}, {Name: "value", Size: 8},
-	{Name: "left", Size: 8}, {Name: "right", Size: 8},
-}
+var (
+	ctreeNodeType = pmm.Compile(pmm.Layout{
+		{Name: "key", Size: 8}, {Name: "value", Size: 8},
+		{Name: "left", Size: 8}, {Name: "right", Size: 8},
+	})
+	ctreeKey   = ctreeNodeType.Ref("key")
+	ctreeValue = ctreeNodeType.Ref("value")
+	ctreeLeft  = ctreeNodeType.Ref("left")
+	ctreeRight = ctreeNodeType.Ref("right")
+)
 
 // CTree is the PMDK ctree example: a binary tree keyed by comparison, with
 // tx-logged link updates.
@@ -223,45 +252,45 @@ type CTree struct {
 
 // NewCTree allocates the tree metadata during Setup.
 func NewCTree(p *Pool) *CTree {
-	return &CTree{pool: p, meta: p.h.AllocStruct("ctree_meta", pmm.Layout{{Name: "root", Size: 8}})}
+	return &CTree{pool: p, meta: p.h.AllocStruct("ctree_meta", metaType)}
 }
 
 func (ct *CTree) newNode(t *pmm.Thread, key, val uint64) uint64 {
-	n := ct.pool.h.AllocStruct("ctree_node", ctreeNodeLayout)
-	t.Store64(n.F("key"), key)
-	t.Store64(n.F("value"), val)
+	n := ct.pool.h.AllocStruct("ctree_node", ctreeNodeType)
+	t.Store64(n.At(ctreeKey), key)
+	t.Store64(n.At(ctreeValue), val)
 	t.Persist(n.Base(), n.Size())
 	return uint64(n.Base())
 }
 
 // Insert adds or updates a key.
 func (ct *CTree) Insert(t *pmm.Thread, key, val uint64) {
-	cur := t.Load64(ct.meta.F("root"))
+	cur := t.Load64(ct.meta.At(metaRoot))
 	if cur == 0 {
 		addr := ct.newNode(t, key, val)
 		tx := ct.pool.TxBegin(t)
-		tx.Set(ct.meta.F("root"), addr)
+		tx.Set(ct.meta.At(metaRoot), addr)
 		tx.Commit()
 		return
 	}
 	for {
 		n, _ := ct.pool.node(cur)
-		k := t.Load64(n.F("key"))
+		k := t.Load64(n.At(ctreeKey))
 		if k == key {
 			tx := ct.pool.TxBegin(t)
-			tx.Set(n.F("value"), val)
+			tx.Set(n.At(ctreeValue), val)
 			tx.Commit()
 			return
 		}
-		side := "left"
+		side := ctreeLeft
 		if key > k {
-			side = "right"
+			side = ctreeRight
 		}
-		next := t.Load64(n.F(side))
+		next := t.Load64(n.At(side))
 		if next == 0 {
 			addr := ct.newNode(t, key, val)
 			tx := ct.pool.TxBegin(t)
-			tx.Set(n.F(side), addr)
+			tx.Set(n.At(side), addr)
 			tx.Commit()
 			return
 		}
@@ -271,20 +300,20 @@ func (ct *CTree) Insert(t *pmm.Thread, key, val uint64) {
 
 // Get looks a key up.
 func (ct *CTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
-	cur := t.Load64(ct.meta.F("root"))
+	cur := t.Load64(ct.meta.At(metaRoot))
 	for cur != 0 {
 		n, ok := ct.pool.node(cur)
 		if !ok {
 			return 0, false
 		}
-		k := t.Load64(n.F("key"))
+		k := t.Load64(n.At(ctreeKey))
 		if k == key {
-			return t.Load64(n.F("value")), true
+			return t.Load64(n.At(ctreeValue)), true
 		}
 		if key < k {
-			cur = t.Load64(n.F("left"))
+			cur = t.Load64(n.At(ctreeLeft))
 		} else {
-			cur = t.Load64(n.F("right"))
+			cur = t.Load64(n.At(ctreeRight))
 		}
 	}
 	return 0, false
@@ -297,11 +326,19 @@ const (
 	colorBlack = 1
 )
 
-var rbNodeLayout = pmm.Layout{
-	{Name: "key", Size: 8}, {Name: "value", Size: 8},
-	{Name: "left", Size: 8}, {Name: "right", Size: 8},
-	{Name: "parent", Size: 8}, {Name: "color", Size: 8},
-}
+var (
+	rbNodeType = pmm.Compile(pmm.Layout{
+		{Name: "key", Size: 8}, {Name: "value", Size: 8},
+		{Name: "left", Size: 8}, {Name: "right", Size: 8},
+		{Name: "parent", Size: 8}, {Name: "color", Size: 8},
+	})
+	rbKey    = rbNodeType.Ref("key")
+	rbValue  = rbNodeType.Ref("value")
+	rbLeft   = rbNodeType.Ref("left")
+	rbRight  = rbNodeType.Ref("right")
+	rbParent = rbNodeType.Ref("parent")
+	rbColor  = rbNodeType.Ref("color")
+)
 
 // RBTree is the PMDK rbtree example, reproduced as a BST with tx-logged
 // color maintenance (full rotation rebalancing is omitted; the persistence
@@ -313,53 +350,53 @@ type RBTree struct {
 
 // NewRBTree allocates the tree metadata during Setup.
 func NewRBTree(p *Pool) *RBTree {
-	return &RBTree{pool: p, meta: p.h.AllocStruct("rbtree_meta", pmm.Layout{{Name: "root", Size: 8}})}
+	return &RBTree{pool: p, meta: p.h.AllocStruct("rbtree_meta", metaType)}
 }
 
 func (rb *RBTree) newNode(t *pmm.Thread, key, val, parent uint64) uint64 {
-	n := rb.pool.h.AllocStruct("rbtree_node", rbNodeLayout)
-	t.Store64(n.F("key"), key)
-	t.Store64(n.F("value"), val)
-	t.Store64(n.F("parent"), parent)
-	t.Store64(n.F("color"), colorRed)
+	n := rb.pool.h.AllocStruct("rbtree_node", rbNodeType)
+	t.Store64(n.At(rbKey), key)
+	t.Store64(n.At(rbValue), val)
+	t.Store64(n.At(rbParent), parent)
+	t.Store64(n.At(rbColor), colorRed)
 	t.Persist(n.Base(), n.Size())
 	return uint64(n.Base())
 }
 
 // Insert adds or updates a key, then recolors the insertion path.
 func (rb *RBTree) Insert(t *pmm.Thread, key, val uint64) {
-	cur := t.Load64(rb.meta.F("root"))
+	cur := t.Load64(rb.meta.At(metaRoot))
 	if cur == 0 {
 		addr := rb.newNode(t, key, val, 0)
 		tx := rb.pool.TxBegin(t)
-		tx.Set(rb.meta.F("root"), addr)
+		tx.Set(rb.meta.At(metaRoot), addr)
 		n, _ := rb.pool.node(addr)
-		tx.Set(n.F("color"), colorBlack) // root is black
+		tx.Set(n.At(rbColor), colorBlack) // root is black
 		tx.Commit()
 		return
 	}
 	for {
 		n, _ := rb.pool.node(cur)
-		k := t.Load64(n.F("key"))
+		k := t.Load64(n.At(rbKey))
 		if k == key {
 			tx := rb.pool.TxBegin(t)
-			tx.Set(n.F("value"), val)
+			tx.Set(n.At(rbValue), val)
 			tx.Commit()
 			return
 		}
-		side := "left"
+		side := rbLeft
 		if key > k {
-			side = "right"
+			side = rbRight
 		}
-		next := t.Load64(n.F(side))
+		next := t.Load64(n.At(side))
 		if next == 0 {
 			addr := rb.newNode(t, key, val, cur)
 			tx := rb.pool.TxBegin(t)
-			tx.Set(n.F(side), addr)
+			tx.Set(n.At(side), addr)
 			// Recolor: if the parent was red, blacken it (flattened
 			// fix-up; the logged multi-word update is what matters).
-			if t.Load64(n.F("color")) == colorRed {
-				tx.Set(n.F("color"), colorBlack)
+			if t.Load64(n.At(rbColor)) == colorRed {
+				tx.Set(n.At(rbColor), colorBlack)
 			}
 			tx.Commit()
 			return
@@ -370,20 +407,20 @@ func (rb *RBTree) Insert(t *pmm.Thread, key, val uint64) {
 
 // Get looks a key up.
 func (rb *RBTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
-	cur := t.Load64(rb.meta.F("root"))
+	cur := t.Load64(rb.meta.At(metaRoot))
 	for cur != 0 {
 		n, ok := rb.pool.node(cur)
 		if !ok {
 			return 0, false
 		}
-		k := t.Load64(n.F("key"))
+		k := t.Load64(n.At(rbKey))
 		if k == key {
-			return t.Load64(n.F("value")), true
+			return t.Load64(n.At(rbValue)), true
 		}
 		if key < k {
-			cur = t.Load64(n.F("left"))
+			cur = t.Load64(n.At(rbLeft))
 		} else {
-			cur = t.Load64(n.F("right"))
+			cur = t.Load64(n.At(rbRight))
 		}
 	}
 	return 0, false
@@ -394,9 +431,16 @@ func (rb *RBTree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 // HashBuckets is the bucket count of both hashmap variants.
 const HashBuckets = 8
 
-var hashEntryLayout = pmm.Layout{
-	{Name: "key", Size: 8}, {Name: "value", Size: 8}, {Name: "next", Size: 8},
-}
+var (
+	hashEntryType  = pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}, {Name: "next", Size: 8}})
+	hashEntryKey   = hashEntryType.Ref("key")
+	hashEntryValue = hashEntryType.Ref("value")
+	hashEntryNext  = hashEntryType.Ref("next")
+
+	// hashBucketType is the {head} bucket of both hashmap variants.
+	hashBucketType = pmm.Compile(pmm.Layout{{Name: "head", Size: 8}})
+	hashBucketHead = hashBucketType.Ref("head")
+)
 
 // HashmapTX is the PMDK hashmap_tx example: chained buckets where the
 // bucket-head publication is tx-logged.
@@ -409,7 +453,7 @@ type HashmapTX struct {
 func NewHashmapTX(p *Pool) *HashmapTX {
 	return &HashmapTX{
 		pool:    p,
-		buckets: p.h.AllocArray("hashmap_tx_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
+		buckets: p.h.AllocArray("hashmap_tx_bucket", hashBucketType, HashBuckets),
 	}
 }
 
@@ -418,45 +462,50 @@ func hashBucket(key uint64) int { return int((key * 0x9E3779B97F4A7C15) % HashBu
 // Put inserts or updates a key.
 func (hm *HashmapTX) Put(t *pmm.Thread, key, val uint64) {
 	b := hm.buckets.At(hashBucket(key))
-	cur := t.Load64(b.F("head"))
+	cur := t.Load64(b.At(hashBucketHead))
 	for addr := cur; addr != 0; {
 		n, _ := hm.pool.node(addr)
-		if t.Load64(n.F("key")) == key {
+		if t.Load64(n.At(hashEntryKey)) == key {
 			tx := hm.pool.TxBegin(t)
-			tx.Set(n.F("value"), val)
+			tx.Set(n.At(hashEntryValue), val)
 			tx.Commit()
 			return
 		}
-		addr = t.Load64(n.F("next"))
+		addr = t.Load64(n.At(hashEntryNext))
 	}
-	n := hm.pool.h.AllocStruct("hashmap_tx_entry", hashEntryLayout)
-	t.Store64(n.F("key"), key)
-	t.Store64(n.F("value"), val)
-	t.Store64(n.F("next"), cur)
+	n := hm.pool.h.AllocStruct("hashmap_tx_entry", hashEntryType)
+	t.Store64(n.At(hashEntryKey), key)
+	t.Store64(n.At(hashEntryValue), val)
+	t.Store64(n.At(hashEntryNext), cur)
 	t.Persist(n.Base(), n.Size())
 	addr := uint64(n.Base())
 	tx := hm.pool.TxBegin(t)
-	tx.Set(b.F("head"), addr)
+	tx.Set(b.At(hashBucketHead), addr)
 	tx.Commit()
 }
 
 // Get looks a key up.
 func (hm *HashmapTX) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	b := hm.buckets.At(hashBucket(key))
-	for addr := t.Load64(b.F("head")); addr != 0; {
+	for addr := t.Load64(b.At(hashBucketHead)); addr != 0; {
 		n, ok := hm.pool.node(addr)
 		if !ok {
 			return 0, false
 		}
-		if t.Load64(n.F("key")) == key {
-			return t.Load64(n.F("value")), true
+		if t.Load64(n.At(hashEntryKey)) == key {
+			return t.Load64(n.At(hashEntryValue)), true
 		}
-		addr = t.Load64(n.F("next"))
+		addr = t.Load64(n.At(hashEntryNext))
 	}
 	return 0, false
 }
 
 // --- Hashmap-atomic (atomic publication + logged element count) ---
+
+var (
+	hashCountType = pmm.Compile(pmm.Layout{{Name: "count", Size: 8}})
+	hashCount     = hashCountType.Ref("count")
+)
 
 // HashmapAtomic is the PMDK hashmap_atomic example: entries are persisted
 // and then published with a single atomic release store; the persistent
@@ -473,54 +522,54 @@ type HashmapAtomic struct {
 func NewHashmapAtomic(p *Pool) *HashmapAtomic {
 	return &HashmapAtomic{
 		pool:    p,
-		buckets: p.h.AllocArray("hashmap_atomic_bucket", pmm.Layout{{Name: "head", Size: 8}}, HashBuckets),
-		count:   p.h.AllocStruct("hashmap_atomic_meta", pmm.Layout{{Name: "count", Size: 8}}),
+		buckets: p.h.AllocArray("hashmap_atomic_bucket", hashBucketType, HashBuckets),
+		count:   p.h.AllocStruct("hashmap_atomic_meta", hashCountType),
 	}
 }
 
 // Put inserts or updates a key.
 func (hm *HashmapAtomic) Put(t *pmm.Thread, key, val uint64) {
 	b := hm.buckets.At(hashBucket(key))
-	cur := t.LoadAcquire64(b.F("head"))
+	cur := t.LoadAcquire64(b.At(hashBucketHead))
 	for addr := cur; addr != 0; {
 		n, _ := hm.pool.node(addr)
-		if t.Load64(n.F("key")) == key {
-			t.StoreRelease64(n.F("value"), val)
-			t.Persist(n.F("value"), 8)
+		if t.Load64(n.At(hashEntryKey)) == key {
+			t.StoreRelease64(n.At(hashEntryValue), val)
+			t.Persist(n.At(hashEntryValue), 8)
 			return
 		}
-		addr = t.Load64(n.F("next"))
+		addr = t.Load64(n.At(hashEntryNext))
 	}
-	n := hm.pool.h.AllocStruct("hashmap_atomic_entry", hashEntryLayout)
-	t.Store64(n.F("key"), key)
-	t.Store64(n.F("value"), val)
-	t.Store64(n.F("next"), cur)
+	n := hm.pool.h.AllocStruct("hashmap_atomic_entry", hashEntryType)
+	t.Store64(n.At(hashEntryKey), key)
+	t.Store64(n.At(hashEntryValue), val)
+	t.Store64(n.At(hashEntryNext), cur)
 	t.Persist(n.Base(), n.Size())
 	addr := uint64(n.Base())
 	// Atomic publication: release store + persist.
-	t.StoreRelease64(b.F("head"), addr)
-	t.Persist(b.F("head"), 8)
+	t.StoreRelease64(b.At(hashBucketHead), addr)
+	t.Persist(b.At(hashBucketHead), 8)
 	// The element counter update uses the pool's internal log.
 	tx := hm.pool.TxBegin(t)
-	tx.Set(hm.count.F("count"), t.Load64(hm.count.F("count"))+1)
+	tx.Set(hm.count.At(hashCount), t.Load64(hm.count.At(hashCount))+1)
 	tx.Commit()
 }
 
 // Get looks a key up (acquire-loading the published head).
 func (hm *HashmapAtomic) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	b := hm.buckets.At(hashBucket(key))
-	for addr := t.LoadAcquire64(b.F("head")); addr != 0; {
+	for addr := t.LoadAcquire64(b.At(hashBucketHead)); addr != 0; {
 		n, ok := hm.pool.node(addr)
 		if !ok {
 			return 0, false
 		}
-		if t.Load64(n.F("key")) == key {
-			return t.Load64(n.F("value")), true
+		if t.Load64(n.At(hashEntryKey)) == key {
+			return t.Load64(n.At(hashEntryValue)), true
 		}
-		addr = t.Load64(n.F("next"))
+		addr = t.Load64(n.At(hashEntryNext))
 	}
 	return 0, false
 }
 
 // Count reads the logged element counter.
-func (hm *HashmapAtomic) Count(t *pmm.Thread) uint64 { return t.Load64(hm.count.F("count")) }
+func (hm *HashmapAtomic) Count(t *pmm.Thread) uint64 { return t.Load64(hm.count.At(hashCount)) }

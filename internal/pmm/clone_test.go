@@ -7,13 +7,13 @@ import "testing"
 // heap must not change when the probe scenario keeps allocating).
 func TestCloneIndependence(t *testing.T) {
 	h := NewHeap()
-	s := h.AllocStruct("obj", Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+	s := h.AllocStruct("obj", Compile(Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 	h.Init(s.F("a"), 8, 11)
 
 	c := h.Clone()
 	// Mutate the clone: new allocations and new init writes.
-	c.AllocStruct("extra", Layout{{Name: "x", Size: 8}})
-	c.AllocArray("arr", Layout{{Name: "y", Size: 8}}, 3)
+	c.AllocStruct("extra", Compile(Layout{{Name: "x", Size: 8}}))
+	c.AllocArray("arr", Compile(Layout{{Name: "y", Size: 8}}), 3)
 	c.Init(s.F("b"), 8, 22)
 
 	if got, want := h.AllocCount(), 1; got != want {
@@ -43,9 +43,9 @@ func TestCloneIndependence(t *testing.T) {
 	// Restore grafts a snapshot's state into a live heap and must detach from
 	// the source the same way.
 	h2 := NewHeap()
-	o2 := h2.AllocStruct("obj", Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+	o2 := h2.AllocStruct("obj", Compile(Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 	h2.Restore(c)
-	h2.AllocStruct("post", Layout{{Name: "p", Size: 8}})
+	h2.AllocStruct("post", Compile(Layout{{Name: "p", Size: 8}}))
 	h2.Init(o2.F("b"), 8, 77) // appends to the restored init-write slice
 	if got, want := c.AllocCount(), 3; got != want {
 		t.Errorf("restore source AllocCount = %d after mutating target, want %d", got, want)

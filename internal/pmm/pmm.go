@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 )
 
 // Addr is a byte address in the simulated persistent memory.
@@ -41,7 +39,8 @@ type FieldDef struct {
 
 // Layout is an ordered list of fields. Offsets are assigned in order with
 // natural alignment (each field aligned to its own size), like a C struct
-// without packing pragmas.
+// without packing pragmas. A Layout is only a declaration: Compile turns it
+// into the Type that allocations take.
 type Layout []FieldDef
 
 type fieldInfo struct {
@@ -50,38 +49,25 @@ type fieldInfo struct {
 	size   int
 }
 
-type layoutInfo struct {
+// Type is a compiled struct layout: field offsets, the struct size, a name
+// index for resolving field refs, and an offset table for labelling
+// addresses. Programs compile each layout once, at package or constructor
+// level, and address fields through FieldRefs resolved from it, so the
+// simulated-op path neither hashes field names nor rebuilds layouts. A Type
+// is immutable once compiled and safe to share across heaps and goroutines.
+type Type struct {
 	fields []fieldInfo
 	byName map[string]int
 	size   int // struct size, rounded up to max alignment
+	// fieldAt maps every byte offset in [0, size) to the index of the field
+	// covering it, or -1 for padding.
+	fieldAt []int32
 }
 
-// layoutCache memoizes buildLayout by layout contents: a checkpoint resume
-// re-runs the program's Setup against a fresh heap, so the same handful of
-// struct layouts would otherwise be rebuilt (fields, name index, size
-// computation) for every resumed scenario, concurrently across workers.
-// layoutInfo is immutable once built, so sharing one instance is safe.
-var layoutCache sync.Map // string → *layoutInfo
-
-func buildLayout(l Layout) *layoutInfo {
-	var kb strings.Builder
-	for _, f := range l {
-		kb.WriteString(f.Name)
-		kb.WriteByte(0)
-		kb.WriteString(strconv.Itoa(f.Size))
-		kb.WriteByte(1)
-	}
-	key := kb.String()
-	if v, ok := layoutCache.Load(key); ok {
-		return v.(*layoutInfo)
-	}
-	info := buildLayoutUncached(l)
-	layoutCache.Store(key, info)
-	return info
-}
-
-func buildLayoutUncached(l Layout) *layoutInfo {
-	info := &layoutInfo{byName: make(map[string]int, len(l))}
+// Compile resolves a layout's offsets and size. It panics on a field size
+// other than 1, 2, 4 or 8 and on a duplicate field name.
+func Compile(l Layout) *Type {
+	t := &Type{byName: make(map[string]int, len(l))}
 	off, maxAlign := 0, 1
 	for _, f := range l {
 		switch f.Size {
@@ -89,33 +75,76 @@ func buildLayoutUncached(l Layout) *layoutInfo {
 		default:
 			panic(fmt.Sprintf("pmm: field %q has unsupported size %d", f.Name, f.Size))
 		}
-		if _, dup := info.byName[f.Name]; dup {
+		if _, dup := t.byName[f.Name]; dup {
 			panic(fmt.Sprintf("pmm: duplicate field %q", f.Name))
 		}
 		if f.Size > maxAlign {
 			maxAlign = f.Size
 		}
 		off = align(off, f.Size)
-		info.byName[f.Name] = len(info.fields)
-		info.fields = append(info.fields, fieldInfo{name: f.Name, offset: off, size: f.Size})
+		t.byName[f.Name] = len(t.fields)
+		t.fields = append(t.fields, fieldInfo{name: f.Name, offset: off, size: f.Size})
 		off += f.Size
 	}
-	info.size = align(off, maxAlign)
-	if info.size == 0 {
-		info.size = maxAlign
+	t.size = align(off, maxAlign)
+	if t.size == 0 {
+		t.size = maxAlign
 	}
-	return info
+	t.fieldAt = make([]int32, t.size)
+	for i := range t.fieldAt {
+		t.fieldAt[i] = -1
+	}
+	for i, f := range t.fields {
+		for b := f.offset; b < f.offset+f.size; b++ {
+			t.fieldAt[b] = int32(i)
+		}
+	}
+	return t
 }
 
 func align(off, a int) int { return (off + a - 1) &^ (a - 1) }
+
+// Size returns the struct size in bytes.
+func (t *Type) Size() int { return t.size }
+
+// Ref resolves a field name to a handle; it panics if the type has no
+// such field. Resolve refs once (package variables, constructor tables)
+// and use them with Struct.At on the hot path.
+func (t *Type) Ref(name string) FieldRef {
+	r, ok := t.lookup(name)
+	if !ok {
+		panic(fmt.Sprintf("pmm: type has no field %q", name))
+	}
+	return r
+}
+
+func (t *Type) lookup(name string) (FieldRef, bool) {
+	i, ok := t.byName[name]
+	if !ok {
+		return FieldRef{}, false
+	}
+	f := t.fields[i]
+	return FieldRef{typ: t, off: f.offset, size: f.size}, true
+}
+
+// FieldRef is a field of one Type, resolved to its offset and size.
+// Struct.At turns it into an address with no lookup.
+type FieldRef struct {
+	typ  *Type
+	off  int
+	size int
+}
+
+// Size returns the field's size in bytes.
+func (r FieldRef) Size() int { return r.size }
 
 // allocation records one named persistent object (possibly an array).
 type allocation struct {
 	base   Addr
 	size   int // total bytes
 	label  string
-	layout *layoutInfo // nil for raw allocations
-	count  int         // array element count; 1 for plain structs
+	typ    *Type // nil for raw allocations
+	count  int   // array element count; 1 for plain structs
 	stride int
 }
 
@@ -152,42 +181,38 @@ func NewHeap() *Heap { return &Heap{next: CacheLineSize} }
 
 // Struct is a handle to an allocated struct instance.
 type Struct struct {
-	heap   *Heap
-	base   Addr
-	layout *layoutInfo
-	label  string
+	base  Addr
+	typ   *Type
+	label string
 }
 
 // Array is a handle to an allocated array of structs.
 type Array struct {
-	heap   *Heap
 	base   Addr
-	layout *layoutInfo
+	typ    *Type
 	label  string
 	count  int
 	stride int
 }
 
-// AllocStruct allocates one struct with the given label and layout.
-func (h *Heap) AllocStruct(label string, l Layout) Struct {
-	info := buildLayout(l)
-	base := h.place(info.size)
-	h.allocs = append(h.allocs, allocation{base: base, size: info.size, label: label, layout: info, count: 1, stride: info.size})
-	return Struct{heap: h, base: base, layout: info, label: label}
+// AllocStruct allocates one struct of type t with the given label.
+func (h *Heap) AllocStruct(label string, t *Type) Struct {
+	base := h.place(t.size)
+	h.allocs = append(h.allocs, allocation{base: base, size: t.size, label: label, typ: t, count: 1, stride: t.size})
+	return Struct{base: base, typ: t, label: label}
 }
 
-// AllocArray allocates count contiguous struct instances. The element stride
-// is the struct size rounded up to 8 bytes so that elements stay internally
-// aligned.
-func (h *Heap) AllocArray(label string, l Layout, count int) Array {
+// AllocArray allocates count contiguous structs of type t. The element
+// stride is the struct size rounded up to 8 bytes so that elements stay
+// internally aligned.
+func (h *Heap) AllocArray(label string, t *Type, count int) Array {
 	if count <= 0 {
 		panic("pmm: AllocArray count must be positive")
 	}
-	info := buildLayout(l)
-	stride := align(info.size, 8)
+	stride := align(t.size, 8)
 	base := h.place(stride * count)
-	h.allocs = append(h.allocs, allocation{base: base, size: stride * count, label: label, layout: info, count: count, stride: stride})
-	return Array{heap: h, base: base, layout: info, label: label, count: count, stride: stride}
+	h.allocs = append(h.allocs, allocation{base: base, size: stride * count, label: label, typ: t, count: count, stride: stride})
+	return Array{base: base, typ: t, label: label, count: count, stride: stride}
 }
 
 // AllocRaw allocates size bytes with no field structure. Accesses into raw
@@ -209,9 +234,9 @@ func (h *Heap) place(size int) Addr {
 }
 
 // Clone returns an independent copy of the heap's allocation state.
-// Allocation layouts are shared (they are immutable once built). Handles
-// (Struct, Array) held by program closures keep pointing at the heap they
-// were allocated from — a clone does not retarget them. The engine's
+// Allocation types are shared (they are immutable once compiled). Program
+// closures keep the heap their Setup ran against (for runtime allocation
+// and StructAt) — a clone does not retarget them. The engine's
 // checkpoint layer therefore pairs Clone with Restore: it re-runs the
 // program's Setup against a fresh heap (recreating the closure handles) and
 // grafts the cloned state into that heap object.
@@ -270,22 +295,34 @@ func (h *Heap) InitWrites() []InitWrite { return h.inits }
 func (s Struct) Base() Addr { return s.base }
 
 // Size returns the struct's size in bytes.
-func (s Struct) Size() int { return s.layout.size }
+func (s Struct) Size() int { return s.typ.size }
 
-// Field returns the address of the named field and its size.
-func (s Struct) Field(name string) (Addr, int) {
-	i, ok := s.layout.byName[name]
+// Type returns the struct's compiled type.
+func (s Struct) Type() *Type { return s.typ }
+
+// At returns the address of the field r. It panics if r was resolved from
+// a different Type than the struct's.
+func (s Struct) At(r FieldRef) Addr {
+	if r.typ != s.typ {
+		s.foreignRef(r)
+	}
+	return s.base + Addr(r.off)
+}
+
+//go:noinline
+func (s Struct) foreignRef(r FieldRef) {
+	panic(fmt.Sprintf("pmm: field ref at offset %d is not of struct %q's type", r.off, s.label))
+}
+
+// F returns the address of the named field. It hashes the name on every
+// call: keep it to cold code (setup, tests, examples) and use At with a
+// pre-resolved FieldRef on the simulated-op path.
+func (s Struct) F(name string) Addr {
+	r, ok := s.typ.lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("pmm: struct %q has no field %q", s.label, name))
 	}
-	f := s.layout.fields[i]
-	return s.base + Addr(f.offset), f.size
-}
-
-// F returns just the address of the named field.
-func (s Struct) F(name string) Addr {
-	a, _ := s.Field(name)
-	return a
+	return s.At(r)
 }
 
 // Label returns the struct's allocation label.
@@ -293,10 +330,15 @@ func (s Struct) Label() string { return s.label }
 
 // At returns the i'th element of the array as a Struct handle.
 func (a Array) At(i int) Struct {
-	if i < 0 || i >= a.count {
-		panic(fmt.Sprintf("pmm: array %q index %d out of range [0,%d)", a.label, i, a.count))
+	if uint(i) >= uint(a.count) {
+		a.outOfRange(i)
 	}
-	return Struct{heap: a.heap, base: a.base + Addr(i*a.stride), layout: a.layout, label: a.label}
+	return Struct{base: a.base + Addr(i*a.stride), typ: a.typ, label: a.label}
+}
+
+//go:noinline
+func (a Array) outOfRange(i int) {
+	panic(fmt.Sprintf("pmm: array %q index %d out of range [0,%d)", a.label, i, a.count))
 }
 
 // Len returns the number of elements.
@@ -338,20 +380,15 @@ func (h *Heap) findAlloc(addr Addr) *allocation {
 // through StructAt instead.
 func (h *Heap) StructAt(a Addr) (Struct, bool) {
 	al := h.findAlloc(a)
-	if al == nil || al.layout == nil {
+	if al == nil || al.typ == nil {
 		return Struct{}, false
 	}
 	off := int(a - al.base)
 	if off%al.stride != 0 || off/al.stride >= al.count {
 		return Struct{}, false
 	}
-	return Struct{heap: h, base: a, layout: al.layout, label: al.label}, true
+	return Struct{base: a, typ: al.typ, label: al.label}, true
 }
-
-// FieldCount returns the number of declared fields in the struct's layout;
-// programs use it to discriminate variants reattached via StructAt (e.g.
-// adaptive tree nodes whose capacity is encoded in their field count).
-func (s Struct) FieldCount() int { return len(s.layout.fields) }
 
 // ArrayAt reattaches an Array handle to a persisted pointer: it returns the
 // handle of the array allocation whose base address is exactly a, or
@@ -359,10 +396,10 @@ func (s Struct) FieldCount() int { return len(s.layout.fields) }
 // this is for recovery code resolving pointers read from persistent memory.
 func (h *Heap) ArrayAt(a Addr) (Array, bool) {
 	al := h.findAlloc(a)
-	if al == nil || al.layout == nil || al.base != a {
+	if al == nil || al.typ == nil || al.base != a {
 		return Array{}, false
 	}
-	return Array{heap: h, base: al.base, layout: al.layout, label: al.label, count: al.count, stride: al.stride}, true
+	return Array{base: al.base, typ: al.typ, label: al.label, count: al.count, stride: al.stride}, true
 }
 
 // NextAllocBase returns the base address of the allocation made immediately
@@ -396,30 +433,29 @@ func (h *Heap) LabelFor(addr Addr) string {
 func (h *Heap) labelFor(addr Addr) string {
 	a := h.findAlloc(addr)
 	if a == nil {
-		return fmt.Sprintf("0x%x", uint64(addr))
+		return "0x" + strconv.FormatUint(uint64(addr), 16)
 	}
 	off := int(addr - a.base)
-	if a.layout == nil {
+	if a.typ == nil {
 		if off == 0 {
 			return a.label
 		}
-		return fmt.Sprintf("%s+%d", a.label, off)
+		return a.label + "+" + strconv.Itoa(off)
 	}
 	idx, rem := 0, off
 	if a.count > 1 {
 		idx, rem = off/a.stride, off%a.stride
 	}
-	fieldName := fmt.Sprintf("+%d", rem)
-	for _, f := range a.layout.fields {
-		if rem >= f.offset && rem < f.offset+f.size {
-			fieldName = f.name
-			break
-		}
+	var field string
+	if rem < a.typ.size && a.typ.fieldAt[rem] >= 0 {
+		field = a.typ.fields[a.typ.fieldAt[rem]].name
+	} else {
+		field = "+" + strconv.Itoa(rem)
 	}
 	if a.count > 1 {
-		return fmt.Sprintf("%s[%d].%s", a.label, idx, fieldName)
+		return a.label + "[" + strconv.Itoa(idx) + "]." + field
 	}
-	return fmt.Sprintf("%s.%s", a.label, fieldName)
+	return a.label + "." + field
 }
 
 // FieldAt describes one field instance within an address range; used to
@@ -439,7 +475,7 @@ func (h *Heap) FieldsIn(addr Addr, size int) []FieldAt {
 		panic(fmt.Sprintf("pmm: range [0x%x,+%d) not within a single allocation", uint64(addr), size))
 	}
 	var out []FieldAt
-	if a.layout == nil {
+	if a.typ == nil {
 		for cur, end := addr, addr+Addr(size); cur < end; {
 			step := 8
 			if int(cur)%8 != 0 {
@@ -456,7 +492,7 @@ func (h *Heap) FieldsIn(addr Addr, size int) []FieldAt {
 	end := addr + Addr(size)
 	for i := 0; i < a.count; i++ {
 		elemBase := a.base + Addr(i*a.stride)
-		for _, f := range a.layout.fields {
+		for _, f := range a.typ.fields {
 			fa := elemBase + Addr(f.offset)
 			if fa >= addr && fa+Addr(f.size) <= end {
 				out = append(out, FieldAt{Addr: fa, Size: f.size})

@@ -2,6 +2,7 @@ package pmm
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,9 +26,9 @@ func TestLineOf(t *testing.T) {
 }
 
 func TestLayoutNaturalAlignment(t *testing.T) {
-	s := NewHeap().AllocStruct("obj", Layout{
+	s := NewHeap().AllocStruct("obj", Compile(Layout{
 		{"b", 1}, {"w", 2}, {"d", 4}, {"q", 8}, {"tail", 1},
-	})
+	}))
 	wantOffsets := map[string]Addr{"b": 0, "w": 2, "d": 4, "q": 8, "tail": 16}
 	for name, off := range wantOffsets {
 		if got := s.F(name) - s.Base(); got != off {
@@ -40,17 +41,17 @@ func TestLayoutNaturalAlignment(t *testing.T) {
 }
 
 func TestFieldSizes(t *testing.T) {
-	s := NewHeap().AllocStruct("obj", Layout{{"a", 4}, {"b", 8}})
-	if _, size := s.Field("a"); size != 4 {
+	typ := Compile(Layout{{"a", 4}, {"b", 8}})
+	if size := typ.Ref("a").Size(); size != 4 {
 		t.Errorf("field a size = %d", size)
 	}
-	if _, size := s.Field("b"); size != 8 {
+	if size := typ.Ref("b").Size(); size != 8 {
 		t.Errorf("field b size = %d", size)
 	}
 }
 
 func TestUnknownFieldPanics(t *testing.T) {
-	s := NewHeap().AllocStruct("obj", Layout{{"a", 8}})
+	s := NewHeap().AllocStruct("obj", Compile(Layout{{"a", 8}}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Field on unknown name did not panic")
@@ -65,7 +66,7 @@ func TestDuplicateFieldPanics(t *testing.T) {
 			t.Fatal("duplicate field did not panic")
 		}
 	}()
-	NewHeap().AllocStruct("obj", Layout{{"a", 8}, {"a", 4}})
+	NewHeap().AllocStruct("obj", Compile(Layout{{"a", 8}, {"a", 4}}))
 }
 
 func TestBadFieldSizePanics(t *testing.T) {
@@ -74,13 +75,13 @@ func TestBadFieldSizePanics(t *testing.T) {
 			t.Fatal("field size 3 did not panic")
 		}
 	}()
-	NewHeap().AllocStruct("obj", Layout{{"a", 3}})
+	NewHeap().AllocStruct("obj", Compile(Layout{{"a", 3}}))
 }
 
 func TestAllocationsAreLineAligned(t *testing.T) {
 	h := NewHeap()
-	a := h.AllocStruct("a", Layout{{"x", 8}})
-	b := h.AllocStruct("b", Layout{{"x", 8}})
+	a := h.AllocStruct("a", Compile(Layout{{"x", 8}}))
+	b := h.AllocStruct("b", Compile(Layout{{"x", 8}}))
 	r := h.AllocRaw("raw", 100)
 	for _, base := range []Addr{a.Base(), b.Base(), r} {
 		if base%CacheLineSize != 0 {
@@ -97,7 +98,7 @@ func TestAllocationsAreLineAligned(t *testing.T) {
 
 func TestArrayIndexingAndStride(t *testing.T) {
 	h := NewHeap()
-	arr := h.AllocArray("pairs", Layout{{"key", 8}, {"value", 8}}, 8)
+	arr := h.AllocArray("pairs", Compile(Layout{{"key", 8}, {"value", 8}}), 8)
 	if arr.Stride() != 16 {
 		t.Fatalf("stride = %d, want 16", arr.Stride())
 	}
@@ -118,7 +119,7 @@ func TestArrayIndexingAndStride(t *testing.T) {
 }
 
 func TestArrayOutOfRangePanics(t *testing.T) {
-	arr := NewHeap().AllocArray("a", Layout{{"x", 8}}, 2)
+	arr := NewHeap().AllocArray("a", Compile(Layout{{"x", 8}}), 2)
 	for _, idx := range []int{-1, 2} {
 		func() {
 			defer func() {
@@ -133,8 +134,8 @@ func TestArrayOutOfRangePanics(t *testing.T) {
 
 func TestLabelFor(t *testing.T) {
 	h := NewHeap()
-	s := h.AllocStruct("Pair", Layout{{"key", 8}, {"value", 8}})
-	arr := h.AllocArray("seg", Layout{{"key", 8}, {"value", 8}}, 4)
+	s := h.AllocStruct("Pair", Compile(Layout{{"key", 8}, {"value", 8}}))
+	arr := h.AllocArray("seg", Compile(Layout{{"key", 8}, {"value", 8}}), 4)
 	raw := h.AllocRaw("blob", 32)
 
 	cases := []struct {
@@ -157,7 +158,7 @@ func TestLabelFor(t *testing.T) {
 
 func TestLabelForAddressPastEnd(t *testing.T) {
 	h := NewHeap()
-	s := h.AllocStruct("only", Layout{{"x", 8}})
+	s := h.AllocStruct("only", Compile(Layout{{"x", 8}}))
 	past := s.Base() + Addr(10*CacheLineSize)
 	if got := h.LabelFor(past); !strings.HasPrefix(got, "0x") {
 		t.Errorf("LabelFor past end = %q, want hex fallback", got)
@@ -166,7 +167,7 @@ func TestLabelForAddressPastEnd(t *testing.T) {
 
 func TestFieldsInStruct(t *testing.T) {
 	h := NewHeap()
-	arr := h.AllocArray("seg", Layout{{"key", 8}, {"value", 8}}, 4)
+	arr := h.AllocArray("seg", Compile(Layout{{"key", 8}, {"value", 8}}), 4)
 	fields := h.FieldsIn(arr.Base(), 4*16)
 	if len(fields) != 8 {
 		t.Fatalf("FieldsIn covering array = %d fields, want 8", len(fields))
@@ -207,7 +208,7 @@ func TestFieldsInOutsideAllocationPanics(t *testing.T) {
 
 func TestInitWritesRecorded(t *testing.T) {
 	h := NewHeap()
-	s := h.AllocStruct("obj", Layout{{"x", 8}})
+	s := h.AllocStruct("obj", Compile(Layout{{"x", 8}}))
 	h.Init(s.F("x"), 8, 42)
 	ws := h.InitWrites()
 	if len(ws) != 1 || ws[0].Val != 42 || ws[0].Addr != s.F("x") {
@@ -224,31 +225,50 @@ func TestSizeMask(t *testing.T) {
 	}
 }
 
-// Property: LabelFor of any field address round-trips to the field name.
+// randomLayout draws 1-8 fields of random natural sizes.
+func randomLayout(rng *rand.Rand) Layout {
+	sizes := [...]int{1, 2, 4, 8}
+	l := make(Layout, 1+rng.Intn(8))
+	for i := range l {
+		l[i] = FieldDef{Name: fmt.Sprintf("f%d", i), Size: sizes[rng.Intn(len(sizes))]}
+	}
+	return l
+}
+
+// Property: on a heap of random layouts, array counts and raw blobs,
+// LabelFor of every field address round-trips to the field's name, and
+// every address — field, padding, gap or past the end — labels exactly as
+// the fmt-based reference renderer does.
 func TestLabelForProperty(t *testing.T) {
-	f := func(nFields uint8, count uint8) bool {
-		n := int(nFields%6) + 1
-		cnt := int(count%5) + 1
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
 		h := NewHeap()
-		layout := make(Layout, n)
-		for i := range layout {
-			layout[i] = FieldDef{Name: fmt.Sprintf("f%d", i), Size: 8}
-		}
-		arr := h.AllocArray("A", layout, cnt)
-		for i := 0; i < cnt; i++ {
-			for j := 0; j < n; j++ {
-				want := fmt.Sprintf("A[%d].f%d", i, j)
-				if cnt == 1 {
-					want = fmt.Sprintf("A.f%d", j)
-				}
-				got := h.LabelFor(arr.At(i).F(fmt.Sprintf("f%d", j)))
-				if cnt == 1 {
-					if got != want {
+		for a := 0; a < 1+rng.Intn(4); a++ {
+			label := fmt.Sprintf("A%d", a)
+			layout := randomLayout(rng)
+			typ := Compile(layout)
+			cnt := 1 + rng.Intn(5)
+			arr := h.AllocArray(label, typ, cnt)
+			for i := 0; i < cnt; i++ {
+				for _, fd := range layout {
+					want := fmt.Sprintf("%s[%d].%s", label, i, fd.Name)
+					if cnt == 1 {
+						want = label + "." + fd.Name
+					}
+					if got := h.LabelFor(arr.At(i).At(typ.Ref(fd.Name))); got != want {
+						t.Logf("seed %d: label %q, want %q", seed, got, want)
 						return false
 					}
-				} else if got != want {
-					return false
 				}
+			}
+			if rng.Intn(2) == 0 {
+				h.AllocRaw(fmt.Sprintf("raw%d", a), 1+rng.Intn(40))
+			}
+		}
+		for addr := Addr(0); addr < h.NextFree()+2*CacheLineSize; addr++ {
+			if got, want := h.LabelFor(addr), referenceLabelFor(h, addr); got != want {
+				t.Logf("seed %d: LabelFor(0x%x) = %q, reference %q", seed, uint64(addr), got, want)
+				return false
 			}
 		}
 		return true
@@ -256,6 +276,45 @@ func TestLabelForProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+func TestStructAtAllocatesNothing(t *testing.T) {
+	typ := Compile(Layout{{"a", 8}, {"b", 4}})
+	s := NewHeap().AllocStruct("o", typ)
+	b := typ.Ref("b")
+	var sink Addr
+	if n := testing.AllocsPerRun(100, func() { sink += s.At(b) }); n != 0 {
+		t.Fatalf("Struct.At allocates %v times per call, want 0", n)
+	}
+	if s.At(b) != s.Base()+8 {
+		t.Fatalf("At(b) = base+%d, want base+8", s.At(b)-s.Base())
+	}
+}
+
+func TestAtForeignRefPanics(t *testing.T) {
+	l := Layout{{"a", 8}}
+	s := NewHeap().AllocStruct("o", Compile(l))
+	// A structurally identical layout compiled separately is another type.
+	other := Compile(l).Ref("a")
+	for name, r := range map[string]FieldRef{"other type": other, "zero ref": {}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At with a ref of %s did not panic", name)
+				}
+			}()
+			s.At(r)
+		}()
+	}
+}
+
+func TestUnknownRefPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Ref on unknown name did not panic")
+		}
+	}()
+	Compile(Layout{{"a", 8}}).Ref("nope")
 }
 
 // Property: allocations never overlap, regardless of the mix of sizes.
@@ -298,11 +357,11 @@ func TestAllocArrayZeroCountPanics(t *testing.T) {
 			t.Fatal("AllocArray count 0 did not panic")
 		}
 	}()
-	NewHeap().AllocArray("bad", Layout{{Name: "x", Size: 8}}, 0)
+	NewHeap().AllocArray("bad", Compile(Layout{{Name: "x", Size: 8}}), 0)
 }
 
 func TestEmptyLayoutStillAllocates(t *testing.T) {
-	s := NewHeap().AllocStruct("empty", Layout{})
+	s := NewHeap().AllocStruct("empty", Compile(Layout{}))
 	if s.Size() <= 0 {
 		t.Fatalf("empty struct size = %d", s.Size())
 	}
@@ -310,7 +369,7 @@ func TestEmptyLayoutStillAllocates(t *testing.T) {
 
 func TestLabelForMiddleOfField(t *testing.T) {
 	h := NewHeap()
-	s := h.AllocStruct("o", Layout{{Name: "q", Size: 8}})
+	s := h.AllocStruct("o", Compile(Layout{{Name: "q", Size: 8}}))
 	// An address inside (not at the start of) a field still labels as the
 	// field — torn-half reporting depends on it.
 	if got := h.LabelFor(s.F("q") + 4); got != "o.q" {

@@ -160,7 +160,7 @@ func TestFencesAndYield(t *testing.T) {
 
 func TestMemsetDecomposesByFields(t *testing.T) {
 	th, ops, h := newTestThread()
-	s := h.AllocStruct("obj", Layout{{Name: "a", Size: 8}, {Name: "b", Size: 4}, {Name: "c", Size: 2}})
+	s := h.AllocStruct("obj", Compile(Layout{{Name: "a", Size: 8}, {Name: "b", Size: 4}, {Name: "c", Size: 2}}))
 	th.Memset(s.Base(), s.Size(), 0xAB)
 	// One non-atomic store per field, with the repeated-byte pattern
 	// truncated to each field size.
@@ -181,8 +181,8 @@ func TestMemsetDecomposesByFields(t *testing.T) {
 
 func TestMemcpyCopiesFieldwise(t *testing.T) {
 	th, ops, h := newTestThread()
-	src := h.AllocStruct("src", Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
-	dst := h.AllocStruct("dst", Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}})
+	src := h.AllocStruct("src", Compile(Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
+	dst := h.AllocStruct("dst", Compile(Layout{{Name: "a", Size: 8}, {Name: "b", Size: 8}}))
 	ops.mem[src.F("a")] = 0x11
 	ops.mem[src.F("b")] = 0x22
 	th.Memcpy(dst.Base(), src.Base(), 16)
@@ -193,8 +193,8 @@ func TestMemcpyCopiesFieldwise(t *testing.T) {
 
 func TestMemcpyIncompatibleLayoutsPanics(t *testing.T) {
 	th, _, h := newTestThread()
-	src := h.AllocStruct("src", Layout{{Name: "a", Size: 8}})
-	dst := h.AllocStruct("dst", Layout{{Name: "a", Size: 4}, {Name: "b", Size: 4}})
+	src := h.AllocStruct("src", Compile(Layout{{Name: "a", Size: 8}}))
+	dst := h.AllocStruct("dst", Compile(Layout{{Name: "a", Size: 4}, {Name: "b", Size: 4}}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("incompatible memcpy did not panic")

@@ -11,7 +11,7 @@ import (
 func oneField(name string) (func(h *pmm.Heap), *pmm.Addr) {
 	var addr pmm.Addr
 	return func(h *pmm.Heap) {
-		addr = h.AllocStruct(name, pmm.Layout{{Name: "x", Size: 8}}).F("x")
+		addr = h.AllocStruct(name, pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 	}, &addr
 }
 
@@ -65,9 +65,9 @@ func TestAssertPersistedCatchesCLWBWithoutFence(t *testing.T) {
 func TestAssertOrderedBefore(t *testing.T) {
 	var a, b pmm.Addr
 	setup := func(h *pmm.Heap) {
-		o := h.AllocStruct("o", pmm.Layout{{Name: "a", Size: 8}})
+		o := h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "a", Size: 8}}))
 		a = o.F("a")
-		p := h.AllocStruct("p", pmm.Layout{{Name: "b", Size: 8}})
+		p := h.AllocStruct("p", pmm.Compile(pmm.Layout{{Name: "b", Size: 8}}))
 		b = p.F("b") // different cache line
 	}
 	// Correct: a persisted before b written.
@@ -95,7 +95,7 @@ func TestAssertOrderedBefore(t *testing.T) {
 func TestSameLineCoherenceOrdering(t *testing.T) {
 	var key, value pmm.Addr
 	setup := func(h *pmm.Heap) {
-		pair := h.AllocStruct("Pair", pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}})
+		pair := h.AllocStruct("Pair", pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}}))
 		key, value = pair.F("key"), pair.F("value")
 	}
 	// The CCEH argument: value committed before key, same line — ordered
@@ -118,7 +118,7 @@ func TestSameLineCoherenceOrdering(t *testing.T) {
 func TestRuleCheckingCannotSeePersistencyRaces(t *testing.T) {
 	var key, value pmm.Addr
 	setup := func(h *pmm.Heap) {
-		pair := h.AllocStruct("Pair", pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}})
+		pair := h.AllocStruct("Pair", pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}}))
 		key, value = pair.F("key"), pair.F("value")
 	}
 	violations := Check(setup, func(t *pmm.Thread, c *Checker) {
@@ -141,7 +141,7 @@ func TestRuleCheckingCannotSeePersistencyRaces(t *testing.T) {
 		return pmm.Program{
 			Name: "cceh-annotated",
 			Setup: func(h *pmm.Heap) {
-				pair := h.AllocStruct("Pair", pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}})
+				pair := h.AllocStruct("Pair", pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}}))
 				k, v = pair.F("key"), pair.F("value")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {

@@ -38,6 +38,14 @@ const (
 // ExpectedRaces are the fields the paper reports for CCEH.
 var ExpectedRaces = []string{"Pair.key", "Pair.value"}
 
+// pairType is the Pair struct: key and value share a 16-byte slot, so they
+// always share a cache line.
+var (
+	pairType  = pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}})
+	pairKey   = pairType.Ref("key")
+	pairValue = pairType.Ref("value")
+)
+
 // Table is a CCEH instance on the simulated persistent heap.
 type Table struct {
 	segments [numSegments]pmm.Array
@@ -46,9 +54,8 @@ type Table struct {
 // NewTable allocates the table. Every slot starts Invalid (zero).
 func NewTable(h *pmm.Heap) *Table {
 	tb := &Table{}
-	layout := pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}}
 	for i := range tb.segments {
-		tb.segments[i] = h.AllocArray("Pair", layout, slotsPerSegment)
+		tb.segments[i] = h.AllocArray("Pair", pairType, slotsPerSegment)
 	}
 	return tb
 }
@@ -69,12 +76,12 @@ func (tb *Table) Insert(t *pmm.Thread, key, value uint64) bool {
 	for probe := 0; probe < probeWindow; probe++ {
 		seg, idx := tb.slotFor(key, probe)
 		pair := seg.At(idx)
-		keyAddr := pair.F("key")
+		keyAddr := pair.At(pairKey)
 		if !t.CAS64(keyAddr, Invalid, Sentinel) {
 			continue // slot occupied or locked
 		}
 		// Bug #1: non-atomic store to the value field.
-		t.Store64(pair.F("value"), value)
+		t.Store64(pair.At(pairValue), value)
 		t.MFence()
 		// Bug #2: non-atomic store to the key field commits the insertion.
 		t.Store64(keyAddr, key)
@@ -91,8 +98,8 @@ func (tb *Table) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	for probe := 0; probe < probeWindow; probe++ {
 		seg, idx := tb.slotFor(key, probe)
 		pair := seg.At(idx)
-		if t.Load64(pair.F("key")) == key {
-			return t.Load64(pair.F("value")), true
+		if t.Load64(pair.At(pairKey)) == key {
+			return t.Load64(pair.At(pairValue)), true
 		}
 	}
 	return 0, false
@@ -104,7 +111,7 @@ func (tb *Table) Delete(t *pmm.Thread, key uint64) bool {
 	for probe := 0; probe < probeWindow; probe++ {
 		seg, idx := tb.slotFor(key, probe)
 		pair := seg.At(idx)
-		keyAddr := pair.F("key")
+		keyAddr := pair.At(pairKey)
 		if t.Load64(keyAddr) == key {
 			t.CAS64(keyAddr, key, Invalid)
 			t.CLFlush(keyAddr)
@@ -247,11 +254,11 @@ func (tb *Table) InsertFixed(t *pmm.Thread, key, value uint64) bool {
 	for probe := 0; probe < probeWindow; probe++ {
 		seg, idx := tb.slotFor(key, probe)
 		pair := seg.At(idx)
-		keyAddr := pair.F("key")
+		keyAddr := pair.At(pairKey)
 		if !t.CAS64(keyAddr, Invalid, Sentinel) {
 			continue
 		}
-		t.StoreRelease64(pair.F("value"), value) // fixed: atomic release
+		t.StoreRelease64(pair.At(pairValue), value) // fixed: atomic release
 		t.MFence()
 		t.StoreRelease64(keyAddr, key) // fixed: atomic release
 		t.CLFlush(keyAddr)
@@ -265,8 +272,8 @@ func (tb *Table) GetFixed(t *pmm.Thread, key uint64) (uint64, bool) {
 	for probe := 0; probe < probeWindow; probe++ {
 		seg, idx := tb.slotFor(key, probe)
 		pair := seg.At(idx)
-		if t.LoadAcquire64(pair.F("key")) == key {
-			return t.LoadAcquire64(pair.F("value")), true
+		if t.LoadAcquire64(pair.At(pairKey)) == key {
+			return t.LoadAcquire64(pair.At(pairValue)), true
 		}
 	}
 	return 0, false

@@ -56,22 +56,34 @@ type Tree struct {
 	nodes map[uint64]*node
 }
 
-var headerLayout = pmm.Layout{
-	{Name: "last_index", Size: 8},
-	{Name: "switch_counter", Size: 8},
-	{Name: "sibling_ptr", Size: 8},
-	{Name: "leftmost_ptr", Size: 8},
-	{Name: "level", Size: 8},
-}
+var (
+	headerType = pmm.Compile(pmm.Layout{
+		{Name: "last_index", Size: 8},
+		{Name: "switch_counter", Size: 8},
+		{Name: "sibling_ptr", Size: 8},
+		{Name: "leftmost_ptr", Size: 8},
+		{Name: "level", Size: 8},
+	})
+	hdrLastIndex     = headerType.Ref("last_index")
+	hdrSwitchCounter = headerType.Ref("switch_counter")
+	hdrSiblingPtr    = headerType.Ref("sibling_ptr")
+	hdrLeftmostPtr   = headerType.Ref("leftmost_ptr")
+	hdrLevel         = headerType.Ref("level")
 
-var entryLayout = pmm.Layout{{Name: "key", Size: 8}, {Name: "ptr", Size: 8}}
+	entryType = pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "ptr", Size: 8}})
+	entryKey  = entryType.Ref("key")
+	entryPtr  = entryType.Ref("ptr")
+
+	btreeType = pmm.Compile(pmm.Layout{{Name: "root", Size: 8}})
+	btreeRoot = btreeType.Ref("root")
+)
 
 // NewTree allocates the btree struct and an empty root leaf. Initial values
 // are Setup-time writes (fully persisted).
 func NewTree(h *pmm.Heap) *Tree {
-	tr := &Tree{h: h, btree: h.AllocStruct("btree", pmm.Layout{{Name: "root", Size: 8}}), nodes: make(map[uint64]*node)}
+	tr := &Tree{h: h, btree: h.AllocStruct("btree", btreeType), nodes: make(map[uint64]*node)}
 	root := tr.newNodeInit(h, 0, NullPtr)
-	h.Init(tr.btree.F("root"), 8, root.base())
+	h.Init(tr.btree.At(btreeRoot), 8, root.base())
 	// last_index starts at -1 in FAST_FAIR; we keep a count-style encoding
 	// with 0 = empty, i.e. last_index holds count.
 	return tr
@@ -80,11 +92,11 @@ func NewTree(h *pmm.Heap) *Tree {
 // newNodeInit allocates a node during Setup (initial, persisted state).
 func (tr *Tree) newNodeInit(h *pmm.Heap, level uint64, leftmost uint64) *node {
 	n := &node{
-		hdr:     h.AllocStruct("header", headerLayout),
-		entries: h.AllocArray("entry", entryLayout, Cardinality+1),
+		hdr:     h.AllocStruct("header", headerType),
+		entries: h.AllocArray("entry", entryType, Cardinality+1),
 	}
-	h.Init(n.hdr.F("level"), 8, level)
-	h.Init(n.hdr.F("leftmost_ptr"), 8, leftmost)
+	h.Init(n.hdr.At(hdrLevel), 8, level)
+	h.Init(n.hdr.At(hdrLeftmostPtr), 8, leftmost)
 	tr.nodes[n.base()] = n
 	return n
 }
@@ -94,14 +106,14 @@ func (tr *Tree) newNodeInit(h *pmm.Heap, level uint64, leftmost uint64) *node {
 // they are persistency-safe by the prefix argument above.
 func (tr *Tree) newNodeRuntime(t *pmm.Thread, level uint64, leftmost uint64) *node {
 	n := &node{
-		hdr:     tr.h.AllocStruct("header", headerLayout),
-		entries: tr.h.AllocArray("entry", entryLayout, Cardinality+1),
+		hdr:     tr.h.AllocStruct("header", headerType),
+		entries: tr.h.AllocArray("entry", entryType, Cardinality+1),
 	}
-	t.Store64(n.hdr.F("level"), level)
-	t.Store64(n.hdr.F("leftmost_ptr"), leftmost)
-	t.Store64(n.hdr.F("last_index"), 0)
-	t.Store64(n.hdr.F("switch_counter"), 0)
-	t.Store64(n.hdr.F("sibling_ptr"), NullPtr)
+	t.Store64(n.hdr.At(hdrLevel), level)
+	t.Store64(n.hdr.At(hdrLeftmostPtr), leftmost)
+	t.Store64(n.hdr.At(hdrLastIndex), 0)
+	t.Store64(n.hdr.At(hdrSwitchCounter), 0)
+	t.Store64(n.hdr.At(hdrSiblingPtr), NullPtr)
 	t.FlushRange(n.hdr.Base(), n.hdr.Size())
 	t.SFence()
 	tr.nodes[n.base()] = n
@@ -139,29 +151,29 @@ func (tr *Tree) node(addr uint64) *node {
 }
 
 // count reads last_index (entry count) — a race-observing load post-crash.
-func (n *node) count(t *pmm.Thread) int { return int(t.Load64(n.hdr.F("last_index"))) }
+func (n *node) count(t *pmm.Thread) int { return int(t.Load64(n.hdr.At(hdrLastIndex))) }
 
 // Insert adds a key/value pair, splitting full nodes bottom-up and growing
 // a new root when the old root splits.
 func (tr *Tree) Insert(t *pmm.Thread, key, val uint64) {
-	rootAddr := t.Load64(tr.btree.F("root"))
+	rootAddr := t.Load64(tr.btree.At(btreeRoot))
 	promoted, sepKey, sibAddr := tr.insertRec(t, rootAddr, key, val)
 	if !promoted {
 		return
 	}
 	// Bug #7: growing the tree stores a new root pointer non-atomically.
 	oldRoot := tr.node(rootAddr)
-	level := t.Load64(oldRoot.hdr.F("level"))
+	level := t.Load64(oldRoot.hdr.At(hdrLevel))
 	newRoot := tr.newNodeRuntime(t, level+1, rootAddr)
 	e := newRoot.entries.At(0)
-	t.Store64(e.F("key"), sepKey)
-	t.Store64(e.F("ptr"), sibAddr)
-	t.Store64(newRoot.hdr.F("last_index"), 1)
+	t.Store64(e.At(entryKey), sepKey)
+	t.Store64(e.At(entryPtr), sibAddr)
+	t.Store64(newRoot.hdr.At(hdrLastIndex), 1)
 	t.FlushRange(newRoot.hdr.Base(), newRoot.hdr.Size())
 	t.CLFlush(e.Base())
 	t.SFence()
-	t.Store64(tr.btree.F("root"), newRoot.base())
-	t.CLFlush(tr.btree.F("root"))
+	t.Store64(tr.btree.At(btreeRoot), newRoot.base())
+	t.CLFlush(tr.btree.At(btreeRoot))
 	t.SFence()
 }
 
@@ -170,7 +182,7 @@ func (tr *Tree) Insert(t *pmm.Thread, key, val uint64) {
 // install.
 func (tr *Tree) insertRec(t *pmm.Thread, nAddr, key, val uint64) (promoted bool, sepKey, sibAddr uint64) {
 	n := tr.node(nAddr)
-	if t.Load64(n.hdr.F("level")) > 0 {
+	if t.Load64(n.hdr.At(hdrLevel)) > 0 {
 		child := tr.childFor(t, n, key)
 		p, sk, sa := tr.insertRec(t, child, key, val)
 		if !p {
@@ -194,13 +206,13 @@ func (tr *Tree) insertRec(t *pmm.Thread, nAddr, key, val uint64) (promoted bool,
 // childFor scans an inner node for the child covering key.
 func (tr *Tree) childFor(t *pmm.Thread, n *node, key uint64) uint64 {
 	cnt := n.count(t)
-	child := t.Load64(n.hdr.F("leftmost_ptr"))
+	child := t.Load64(n.hdr.At(hdrLeftmostPtr))
 	for i := 0; i < cnt; i++ {
 		e := n.entries.At(i)
-		if key < t.Load64(e.F("key")) {
+		if key < t.Load64(e.At(entryKey)) {
 			break
 		}
-		child = t.Load64(e.F("ptr"))
+		child = t.Load64(e.At(entryPtr))
 	}
 	return child
 }
@@ -212,32 +224,32 @@ func (tr *Tree) childFor(t *pmm.Thread, n *node, key uint64) uint64 {
 func (tr *Tree) insertEntry(t *pmm.Thread, n *node, key, val uint64) {
 	cnt := n.count(t)
 	// Bug #4: non-atomic switch_counter update marks the shift in flight.
-	sc := t.Load64(n.hdr.F("switch_counter"))
-	t.Store64(n.hdr.F("switch_counter"), sc+1)
+	sc := t.Load64(n.hdr.At(hdrSwitchCounter))
+	t.Store64(n.hdr.At(hdrSwitchCounter), sc+1)
 
 	// FAST shift: move entries one position right until the slot for key.
 	i := cnt - 1
 	for ; i >= 0; i-- {
 		e := n.entries.At(i)
-		k := t.Load64(e.F("key"))
+		k := t.Load64(e.At(entryKey))
 		if k <= key {
 			break
 		}
 		dst := n.entries.At(i + 1)
 		// Bugs #5/#6: non-atomic entry key/ptr stores.
-		t.Store64(dst.F("key"), k)
-		t.Store64(dst.F("ptr"), t.Load64(e.F("ptr")))
+		t.Store64(dst.At(entryKey), k)
+		t.Store64(dst.At(entryPtr), t.Load64(e.At(entryPtr)))
 		t.CLFlush(dst.Base())
 	}
 	slot := n.entries.At(i + 1)
-	t.Store64(slot.F("key"), key)
-	t.Store64(slot.F("ptr"), val)
+	t.Store64(slot.At(entryKey), key)
+	t.Store64(slot.At(entryPtr), val)
 	t.CLFlush(slot.Base())
 
 	// Bug #3: non-atomic last_index update commits the insert.
-	t.Store64(n.hdr.F("last_index"), uint64(cnt+1))
-	t.Store64(n.hdr.F("switch_counter"), sc+2)
-	t.CLFlush(n.hdr.F("last_index"))
+	t.Store64(n.hdr.At(hdrLastIndex), uint64(cnt+1))
+	t.Store64(n.hdr.At(hdrSwitchCounter), sc+2)
+	t.CLFlush(n.hdr.At(hdrLastIndex))
 	t.SFence()
 }
 
@@ -245,7 +257,7 @@ func (tr *Tree) insertEntry(t *pmm.Thread, n *node, key, val uint64) {
 // sibling_ptr. It returns the separator key (the sibling's first key) and
 // the sibling's address for the caller to install in the parent.
 func (tr *Tree) split(t *pmm.Thread, n *node) (sepKey, sibAddr uint64) {
-	level := t.Load64(n.hdr.F("level"))
+	level := t.Load64(n.hdr.At(hdrLevel))
 	sib := tr.newNodeRuntime(t, level, NullPtr)
 	half := Cardinality / 2
 
@@ -253,24 +265,24 @@ func (tr *Tree) split(t *pmm.Thread, n *node) (sepKey, sibAddr uint64) {
 	// publication below).
 	for i := half; i < Cardinality; i++ {
 		src, dst := n.entries.At(i), sib.entries.At(i-half)
-		t.Store64(dst.F("key"), t.Load64(src.F("key")))
-		t.Store64(dst.F("ptr"), t.Load64(src.F("ptr")))
+		t.Store64(dst.At(entryKey), t.Load64(src.At(entryKey)))
+		t.Store64(dst.At(entryPtr), t.Load64(src.At(entryPtr)))
 		t.CLFlush(dst.Base())
 	}
-	t.Store64(sib.hdr.F("last_index"), uint64(Cardinality-half))
-	sepKey = t.Load64(n.entries.At(half).F("key"))
+	t.Store64(sib.hdr.At(hdrLastIndex), uint64(Cardinality-half))
+	sepKey = t.Load64(n.entries.At(half).At(entryKey))
 	// Chain the old sibling link before publishing.
-	t.Store64(sib.hdr.F("sibling_ptr"), t.Load64(n.hdr.F("sibling_ptr")))
+	t.Store64(sib.hdr.At(hdrSiblingPtr), t.Load64(n.hdr.At(hdrSiblingPtr)))
 	t.FlushRange(sib.hdr.Base(), sib.hdr.Size())
 	t.SFence()
 
 	// Bug #8: publication — non-atomic sibling_ptr store in the OLD node,
 	// mutated after the node was already reachable.
-	t.Store64(n.hdr.F("sibling_ptr"), sib.base())
-	t.CLFlush(n.hdr.F("sibling_ptr"))
+	t.Store64(n.hdr.At(hdrSiblingPtr), sib.base())
+	t.CLFlush(n.hdr.At(hdrSiblingPtr))
 	// Shrink the old node.
-	t.Store64(n.hdr.F("last_index"), uint64(half))
-	t.CLFlush(n.hdr.F("last_index"))
+	t.Store64(n.hdr.At(hdrLastIndex), uint64(half))
+	t.CLFlush(n.hdr.At(hdrLastIndex))
 	t.SFence()
 	return sepKey, sib.base()
 }
@@ -279,44 +291,44 @@ func (tr *Tree) split(t *pmm.Thread, n *node) (sepKey, sibAddr uint64) {
 // read switch_counter (shift detection), scan keys/ptrs, and consult
 // sibling_ptr for keys that migrated right during a split.
 func (tr *Tree) Search(t *pmm.Thread, key uint64) (uint64, bool) {
-	rootAddr := t.Load64(tr.btree.F("root"))
+	rootAddr := t.Load64(tr.btree.At(btreeRoot))
 	n := tr.node(rootAddr)
 	if n == nil {
 		return 0, false
 	}
-	for t.Load64(n.hdr.F("level")) > 0 {
+	for t.Load64(n.hdr.At(hdrLevel)) > 0 {
 		n = tr.node(tr.childFor(t, n, key))
 		if n == nil {
 			return 0, false
 		}
 	}
 	for n != nil {
-		_ = t.Load64(n.hdr.F("switch_counter")) // shift-in-flight check
+		_ = t.Load64(n.hdr.At(hdrSwitchCounter)) // shift-in-flight check
 		cnt := n.count(t)
 		if cnt > Cardinality+1 {
 			cnt = Cardinality + 1 // defensive clamp against torn counts
 		}
 		for i := 0; i < cnt; i++ {
 			e := n.entries.At(i)
-			if t.Load64(e.F("key")) == key {
-				return t.Load64(e.F("ptr")), true
+			if t.Load64(e.At(entryKey)) == key {
+				return t.Load64(e.At(entryPtr)), true
 			}
 		}
-		n = tr.node(t.Load64(n.hdr.F("sibling_ptr"))) // follow the split chain
+		n = tr.node(t.Load64(n.hdr.At(hdrSiblingPtr))) // follow the split chain
 	}
 	return 0, false
 }
 
 // Delete removes key from its leaf by shifting entries left (FAIR shift).
 func (tr *Tree) Delete(t *pmm.Thread, key uint64) bool {
-	leaf := tr.node(t.Load64(tr.btree.F("root")))
-	for t.Load64(leaf.hdr.F("level")) > 0 {
+	leaf := tr.node(t.Load64(tr.btree.At(btreeRoot)))
+	for t.Load64(leaf.hdr.At(hdrLevel)) > 0 {
 		leaf = tr.node(tr.childFor(t, leaf, key))
 	}
 	cnt := leaf.count(t)
 	pos := -1
 	for i := 0; i < cnt; i++ {
-		if t.Load64(leaf.entries.At(i).F("key")) == key {
+		if t.Load64(leaf.entries.At(i).At(entryKey)) == key {
 			pos = i
 			break
 		}
@@ -324,17 +336,17 @@ func (tr *Tree) Delete(t *pmm.Thread, key uint64) bool {
 	if pos < 0 {
 		return false
 	}
-	sc := t.Load64(leaf.hdr.F("switch_counter"))
-	t.Store64(leaf.hdr.F("switch_counter"), sc+1)
+	sc := t.Load64(leaf.hdr.At(hdrSwitchCounter))
+	t.Store64(leaf.hdr.At(hdrSwitchCounter), sc+1)
 	for i := pos; i < cnt-1; i++ {
 		src, dst := leaf.entries.At(i+1), leaf.entries.At(i)
-		t.Store64(dst.F("key"), t.Load64(src.F("key")))
-		t.Store64(dst.F("ptr"), t.Load64(src.F("ptr")))
+		t.Store64(dst.At(entryKey), t.Load64(src.At(entryKey)))
+		t.Store64(dst.At(entryPtr), t.Load64(src.At(entryPtr)))
 		t.CLFlush(dst.Base())
 	}
-	t.Store64(leaf.hdr.F("last_index"), uint64(cnt-1))
-	t.Store64(leaf.hdr.F("switch_counter"), sc+2)
-	t.CLFlush(leaf.hdr.F("last_index"))
+	t.Store64(leaf.hdr.At(hdrLastIndex), uint64(cnt-1))
+	t.Store64(leaf.hdr.At(hdrSwitchCounter), sc+2)
+	t.CLFlush(leaf.hdr.At(hdrLastIndex))
 	t.SFence()
 	return true
 }
@@ -393,18 +405,18 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 // they read last_index, switch_counter, entry keys/ptrs and sibling_ptr.
 func (tr *Tree) RangeScan(t *pmm.Thread, lo, hi uint64) (keys, vals []uint64) {
 	// Descend to the leaf covering lo.
-	n := tr.node(t.Load64(tr.btree.F("root")))
+	n := tr.node(t.Load64(tr.btree.At(btreeRoot)))
 	if n == nil {
 		return nil, nil
 	}
-	for t.Load64(n.hdr.F("level")) > 0 {
+	for t.Load64(n.hdr.At(hdrLevel)) > 0 {
 		n = tr.node(tr.childFor(t, n, lo))
 		if n == nil {
 			return nil, nil
 		}
 	}
 	for n != nil {
-		_ = t.Load64(n.hdr.F("switch_counter"))
+		_ = t.Load64(n.hdr.At(hdrSwitchCounter))
 		cnt := n.count(t)
 		if cnt > Cardinality+1 {
 			cnt = Cardinality + 1
@@ -412,20 +424,20 @@ func (tr *Tree) RangeScan(t *pmm.Thread, lo, hi uint64) (keys, vals []uint64) {
 		exceeded := false
 		for i := 0; i < cnt; i++ {
 			e := n.entries.At(i)
-			k := t.Load64(e.F("key"))
+			k := t.Load64(e.At(entryKey))
 			if k > hi {
 				exceeded = true
 				break
 			}
 			if k >= lo {
 				keys = append(keys, k)
-				vals = append(vals, t.Load64(e.F("ptr")))
+				vals = append(vals, t.Load64(e.At(entryPtr)))
 			}
 		}
 		if exceeded {
 			break
 		}
-		n = tr.node(t.Load64(n.hdr.F("sibling_ptr")))
+		n = tr.node(t.Load64(n.hdr.At(hdrSiblingPtr)))
 	}
 	return keys, vals
 }

@@ -24,7 +24,7 @@
 package part
 
 import (
-	"fmt"
+	"strconv"
 
 	"yashme/internal/pmm"
 )
@@ -49,31 +49,72 @@ var ExpectedRaces = []string{
 	"N.count",
 }
 
-// node is one radix node (N4 or N16): compact slots of (key byte, child).
-// A child is either another node or a leaf (registry-resolved).
-type node struct {
-	s   pmm.Struct
-	cap int
+// nodeKind is one compiled node variant (N4 or N16): its type and the
+// refs of its header fields and of every slot's key byte and child.
+type nodeKind struct {
+	typ          *pmm.Type
+	cap          int
+	compactCount pmm.FieldRef
+	count        pmm.FieldRef
+	key, child   []pmm.FieldRef
 }
 
-func (n *node) base() uint64 { return uint64(n.s.Base()) }
-
-func nodeLayout(cap int) pmm.Layout {
+func compileNode(cap int) *nodeKind {
 	l := pmm.Layout{
 		{Name: "compactCount", Size: 2},
 		{Name: "count", Size: 2},
 		{Name: "nodeType", Size: 2},
 	}
 	for i := 0; i < cap; i++ {
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("key%d", i), Size: 1})
+		l = append(l, pmm.FieldDef{Name: "key" + strconv.Itoa(i), Size: 1})
 	}
 	for i := 0; i < cap; i++ {
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("child%d", i), Size: 8})
+		l = append(l, pmm.FieldDef{Name: "child" + strconv.Itoa(i), Size: 8})
 	}
-	return l
+	k := &nodeKind{typ: pmm.Compile(l), cap: cap}
+	k.compactCount = k.typ.Ref("compactCount")
+	k.count = k.typ.Ref("count")
+	for i := 0; i < cap; i++ {
+		k.key = append(k.key, k.typ.Ref("key"+strconv.Itoa(i)))
+		k.child = append(k.child, k.typ.Ref("child"+strconv.Itoa(i)))
+	}
+	return k
 }
 
-var leafLayout = pmm.Layout{{Name: "value", Size: 8}}
+var (
+	n4  = compileNode(N4Cap)
+	n16 = compileNode(N16Cap)
+
+	leafType  = pmm.Compile(pmm.Layout{{Name: "value", Size: 8}})
+	leafValue = leafType.Ref("value")
+
+	dlType = pmm.Compile(pmm.Layout{
+		{Name: "deletitionListCount", Size: 8},
+		{Name: "headDeletionList", Size: 8},
+		{Name: "added", Size: 1},
+		{Name: "thresholdCounter", Size: 8},
+	})
+	dlDeletitionListCount = dlType.Ref("deletitionListCount")
+	dlHeadDeletionList    = dlType.Ref("headDeletionList")
+	dlAdded               = dlType.Ref("added")
+	dlThresholdCounter    = dlType.Ref("thresholdCounter")
+
+	labelDeleteType = pmm.Compile(pmm.Layout{
+		{Name: "nodesCount", Size: 8},
+		{Name: "node0", Size: 8},
+	})
+	ldNodesCount = labelDeleteType.Ref("nodesCount")
+	ldNode0      = labelDeleteType.Ref("node0")
+)
+
+// node is one radix node (N4 or N16): compact slots of (key byte, child).
+// A child is either another node or a leaf (registry-resolved).
+type node struct {
+	s pmm.Struct
+	*nodeKind
+}
+
+func (n *node) base() uint64 { return uint64(n.s.Base()) }
 
 // Tree is a two-level P-ART instance plus the Epoche deletion list.
 type Tree struct {
@@ -98,20 +139,15 @@ func byteAt(key uint64, level int) uint8 {
 // NewTree allocates an empty tree with an N4 root and the deletion list.
 func NewTree(h *pmm.Heap) *Tree {
 	tr := &Tree{h: h, nodes: make(map[uint64]*node), leaves: make(map[uint64]pmm.Struct), labels: make(map[uint64]pmm.Struct)}
-	tr.root = tr.allocNodeInit(N4Cap)
-	tr.dl = h.AllocStruct("DeletionList", pmm.Layout{
-		{Name: "deletitionListCount", Size: 8},
-		{Name: "headDeletionList", Size: 8},
-		{Name: "added", Size: 1},
-		{Name: "thresholdCounter", Size: 8},
-	})
+	tr.root = tr.allocNodeInit(n4)
+	tr.dl = h.AllocStruct("DeletionList", dlType)
 	return tr
 }
 
-func (tr *Tree) allocNodeInit(cap int) *node {
-	n := &node{s: tr.h.AllocStruct("N", nodeLayout(cap)), cap: cap}
-	for i := 0; i < cap; i++ {
-		tr.h.Init(n.s.F(fmt.Sprintf("key%d", i)), 1, EmptyKey)
+func (tr *Tree) allocNodeInit(k *nodeKind) *node {
+	n := &node{s: tr.h.AllocStruct("N", k.typ), nodeKind: k}
+	for _, key := range k.key {
+		tr.h.Init(n.s.At(key), 1, EmptyKey)
 	}
 	tr.nodes[n.base()] = n
 	return n
@@ -119,10 +155,10 @@ func (tr *Tree) allocNodeInit(cap int) *node {
 
 // allocNodeRuntime allocates a node during execution with its slots
 // initialized and flushed before publication (persistency-safe).
-func (tr *Tree) allocNodeRuntime(t *pmm.Thread, cap int) *node {
-	n := &node{s: tr.h.AllocStruct("N", nodeLayout(cap)), cap: cap}
-	for i := 0; i < cap; i++ {
-		t.StoreAtomic(n.s.F(fmt.Sprintf("key%d", i)), 1, EmptyKey)
+func (tr *Tree) allocNodeRuntime(t *pmm.Thread, k *nodeKind) *node {
+	n := &node{s: tr.h.AllocStruct("N", k.typ), nodeKind: k}
+	for _, key := range k.key {
+		t.StoreAtomic(n.s.At(key), 1, EmptyKey)
 	}
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
@@ -132,8 +168,8 @@ func (tr *Tree) allocNodeRuntime(t *pmm.Thread, cap int) *node {
 
 // allocLeaf allocates and persists a leaf before publication.
 func (tr *Tree) allocLeaf(t *pmm.Thread, value uint64) uint64 {
-	l := tr.h.AllocStruct("leaf", leafLayout)
-	t.StoreAtomic(l.F("value"), 8, value)
+	l := tr.h.AllocStruct("leaf", leafType)
+	t.StoreAtomic(l.At(leafValue), 8, value)
 	t.Persist(l.Base(), l.Size())
 	tr.leaves[uint64(l.Base())] = l
 	return uint64(l.Base())
@@ -144,8 +180,7 @@ func (tr *Tree) allocLeaf(t *pmm.Thread, value uint64) uint64 {
 // through the heap (pmm.StructAt) — recovery code conceptually runs in a
 // fresh process (and, under the engine's checkpoint layer, in a scenario
 // whose workload closures never executed), so handles must be derivable
-// from the persisted pointer alone. A node's capacity is encoded in its
-// field count: 3 header fields plus a key byte and a child per slot.
+// from the persisted pointer alone. The struct's type tells N4 from N16.
 func (tr *Tree) nodeAt(addr uint64) (*node, bool) {
 	if n, ok := tr.nodes[addr]; ok {
 		return n, true
@@ -154,7 +189,16 @@ func (tr *Tree) nodeAt(addr uint64) (*node, bool) {
 	if !ok || st.Label() != "N" {
 		return nil, false
 	}
-	n := &node{s: st, cap: (st.FieldCount() - 3) / 2}
+	var k *nodeKind
+	switch st.Type() {
+	case n4.typ:
+		k = n4
+	case n16.typ:
+		k = n16
+	default:
+		return nil, false
+	}
+	n := &node{s: st, nodeKind: k}
 	tr.nodes[addr] = n
 	return n, true
 }
@@ -189,13 +233,13 @@ func (tr *Tree) labelAt(addr uint64) (pmm.Struct, bool) {
 
 // findSlot scans a node's compact slots for a key byte.
 func (tr *Tree) findSlot(t *pmm.Thread, n *node, kb uint8) int {
-	cc := t.Load16(n.s.F("compactCount"))
+	cc := t.Load16(n.s.At(n.compactCount))
 	limit := int(cc)
 	if limit > n.cap {
 		limit = n.cap // defensive clamp against torn counts
 	}
 	for i := 0; i < limit; i++ {
-		if t.LoadAcquire(n.s.F(fmt.Sprintf("key%d", i)), 1) == uint64(kb) {
+		if t.LoadAcquire(n.s.At(n.key[i]), 1) == uint64(kb) {
 			return i
 		}
 	}
@@ -203,12 +247,12 @@ func (tr *Tree) findSlot(t *pmm.Thread, n *node, kb uint8) int {
 }
 
 func (tr *Tree) childAt(t *pmm.Thread, n *node, slot int) uint64 {
-	return t.LoadAcquire(n.s.F(fmt.Sprintf("child%d", slot)), 8)
+	return t.LoadAcquire(n.s.At(n.child[slot]), 8)
 }
 
 // setChild publishes a child pointer atomically and persists it.
 func (tr *Tree) setChild(t *pmm.Thread, n *node, slot int, child uint64) {
-	f := n.s.F(fmt.Sprintf("child%d", slot))
+	f := n.s.At(n.child[slot])
 	t.StoreAtomic(f, 8, child)
 	t.Persist(f, 8)
 }
@@ -216,17 +260,17 @@ func (tr *Tree) setChild(t *pmm.Thread, n *node, slot int, child uint64) {
 // addSlot claims the next compact slot for a key byte — bugs #9/#10: the
 // occupancy counters are plain stores.
 func (tr *Tree) addSlot(t *pmm.Thread, n *node, kb uint8, child uint64) bool {
-	cc := t.Load16(n.s.F("compactCount"))
+	cc := t.Load16(n.s.At(n.compactCount))
 	if int(cc) >= n.cap {
 		return false
 	}
 	slot := int(cc)
-	t.StoreAtomic(n.s.F(fmt.Sprintf("key%d", slot)), 1, uint64(kb))
-	t.StoreAtomic(n.s.F(fmt.Sprintf("child%d", slot)), 8, child)
+	t.StoreAtomic(n.s.At(n.key[slot]), 1, uint64(kb))
+	t.StoreAtomic(n.s.At(n.child[slot]), 8, child)
 	// Bug #9: plain compactCount update commits the slot allocation.
-	t.Store16(n.s.F("compactCount"), cc+1)
+	t.Store16(n.s.At(n.compactCount), cc+1)
 	// Bug #10: plain count update.
-	t.Store16(n.s.F("count"), t.Load16(n.s.F("count"))+1)
+	t.Store16(n.s.At(n.count), t.Load16(n.s.At(n.count))+1)
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
 	return true
@@ -236,21 +280,21 @@ func (tr *Tree) addSlot(t *pmm.Thread, n *node, kb uint8, child uint64) bool {
 // stores, flushed before the swap) and retires the old node through the
 // Epoche deletion list. Returns the replacement.
 func (tr *Tree) grow(t *pmm.Thread, old *node) *node {
-	big := tr.allocNodeRuntime(t, N16Cap)
-	cc := t.Load16(old.s.F("compactCount"))
+	big := tr.allocNodeRuntime(t, n16)
+	cc := t.Load16(old.s.At(old.compactCount))
 	live := uint16(0)
 	for i := 0; i < int(cc) && i < old.cap; i++ {
-		k := t.LoadAcquire(old.s.F(fmt.Sprintf("key%d", i)), 1)
+		k := t.LoadAcquire(old.s.At(old.key[i]), 1)
 		if k == EmptyKey {
 			continue
 		}
-		t.StoreAtomic(big.s.F(fmt.Sprintf("key%d", live)), 1, k)
-		t.StoreAtomic(big.s.F(fmt.Sprintf("child%d", live)), 8,
-			t.LoadAcquire(old.s.F(fmt.Sprintf("child%d", i)), 8))
+		t.StoreAtomic(big.s.At(big.key[live]), 1, k)
+		t.StoreAtomic(big.s.At(big.child[live]), 8,
+			t.LoadAcquire(old.s.At(old.child[i]), 8))
 		live++
 	}
-	t.StoreAtomic(big.s.F("compactCount"), 2, uint64(live))
-	t.StoreAtomic(big.s.F("count"), 2, uint64(live))
+	t.StoreAtomic(big.s.At(big.compactCount), 2, uint64(live))
+	t.StoreAtomic(big.s.At(big.count), 2, uint64(live))
 	t.FlushRange(big.s.Base(), big.s.Size())
 	t.SFence()
 	tr.retire(t, old)
@@ -261,23 +305,20 @@ func (tr *Tree) grow(t *pmm.Thread, old *node) *node {
 // store below is plain and never flushed (the allocator is not crash
 // consistent).
 func (tr *Tree) retire(t *pmm.Thread, n *node) {
-	ld := tr.h.AllocStruct("LabelDelete", pmm.Layout{
-		{Name: "nodesCount", Size: 8},
-		{Name: "node0", Size: 8},
-	})
+	ld := tr.h.AllocStruct("LabelDelete", labelDeleteType)
 	tr.labels[uint64(ld.Base())] = ld
 	// Bug #13: plain nodesCount in the label.
-	t.Store64(ld.F("nodesCount"), 1)
-	t.Store64(ld.F("node0"), n.base())
+	t.Store64(ld.At(ldNodesCount), 1)
+	t.Store64(ld.At(ldNode0), n.base())
 	// Bug #12: plain headDeletionList publication.
-	t.Store64(tr.dl.F("headDeletionList"), uint64(ld.Base()))
+	t.Store64(tr.dl.At(dlHeadDeletionList), uint64(ld.Base()))
 	// Bug #11: plain deletitionListCount.
-	t.Store64(tr.dl.F("deletitionListCount"), t.Load64(tr.dl.F("deletitionListCount"))+1)
+	t.Store64(tr.dl.At(dlDeletitionListCount), t.Load64(tr.dl.At(dlDeletitionListCount))+1)
 	// Bug #14: plain byte-size 'added' flag (store inventing makes even
 	// byte-size fields unsafe, §7.2).
-	t.Store8(tr.dl.F("added"), 1)
+	t.Store8(tr.dl.At(dlAdded), 1)
 	// Bug #15: plain thresholdCounter.
-	t.Store64(tr.dl.F("thresholdCounter"), t.Load64(tr.dl.F("thresholdCounter"))+1)
+	t.Store64(tr.dl.At(dlThresholdCounter), t.Load64(tr.dl.At(dlThresholdCounter))+1)
 }
 
 // Insert maps key (low Depth bytes) to a value, descending the radix levels
@@ -296,8 +337,8 @@ func (tr *Tree) insertAt(t *pmm.Thread, n *node, parent *node, parentSlot int, l
 		if slot >= 0 {
 			leafAddr := tr.childAt(t, n, slot)
 			if l, ok := tr.leafAt(leafAddr); ok {
-				t.StoreAtomic(l.F("value"), 8, value)
-				t.Persist(l.F("value"), 8)
+				t.StoreAtomic(l.At(leafValue), 8, value)
+				t.Persist(l.At(leafValue), 8)
 				return
 			}
 		}
@@ -320,7 +361,7 @@ func (tr *Tree) insertAt(t *pmm.Thread, n *node, parent *node, parentSlot int, l
 			return
 		}
 	}
-	child := tr.allocNodeRuntime(t, N4Cap)
+	child := tr.allocNodeRuntime(t, n4)
 	if !tr.addSlot(t, n, kb, child.base()) {
 		n = tr.replaceGrown(t, n, parent, parentSlot)
 		tr.addSlot(t, n, kb, child.base())
@@ -346,7 +387,7 @@ func (tr *Tree) replaceGrown(t *pmm.Thread, n, parent *node, parentSlot int) *no
 func (tr *Tree) Lookup(t *pmm.Thread, key uint64) (uint64, bool) {
 	n := tr.root
 	for level := 0; level < Depth; level++ {
-		_ = t.Load16(n.s.F("count"))
+		_ = t.Load16(n.s.At(n.count))
 		slot := tr.findSlot(t, n, byteAt(key, level))
 		if slot < 0 {
 			return 0, false
@@ -357,7 +398,7 @@ func (tr *Tree) Lookup(t *pmm.Thread, key uint64) (uint64, bool) {
 			if !ok {
 				return 0, false
 			}
-			return t.LoadAcquire(l.F("value"), 8), true
+			return t.LoadAcquire(l.At(leafValue), 8), true
 		}
 		next, ok := tr.nodeAt(child)
 		if !ok {
@@ -386,8 +427,8 @@ func (tr *Tree) Remove(t *pmm.Thread, key uint64) bool {
 	if slot < 0 {
 		return false
 	}
-	t.StoreAtomic(n.s.F(fmt.Sprintf("key%d", slot)), 1, EmptyKey)
-	t.Store16(n.s.F("count"), t.Load16(n.s.F("count"))-1)
+	t.StoreAtomic(n.s.At(n.key[slot]), 1, EmptyKey)
+	t.Store16(n.s.At(n.count), t.Load16(n.s.At(n.count))-1)
 	t.FlushRange(n.s.Base(), n.s.Size())
 	t.SFence()
 	return true
@@ -397,12 +438,12 @@ func (tr *Tree) Remove(t *pmm.Thread, key uint64) bool {
 // DeletionList field and walks to the head label — the race-observing loads
 // for bugs #11–#15.
 func (tr *Tree) RecoverEpoche(t *pmm.Thread) {
-	_ = t.Load64(tr.dl.F("deletitionListCount"))
-	_ = t.Load8(tr.dl.F("added"))
-	_ = t.Load64(tr.dl.F("thresholdCounter"))
-	head := t.Load64(tr.dl.F("headDeletionList"))
+	_ = t.Load64(tr.dl.At(dlDeletitionListCount))
+	_ = t.Load8(tr.dl.At(dlAdded))
+	_ = t.Load64(tr.dl.At(dlThresholdCounter))
+	head := t.Load64(tr.dl.At(dlHeadDeletionList))
 	if ld, ok := tr.labelAt(head); ok {
-		_ = t.Load64(ld.F("nodesCount"))
+		_ = t.Load64(ld.At(ldNodesCount))
 	}
 }
 

@@ -20,14 +20,25 @@ const MappingTableSize = 16
 // ExpectedRaces is the single field the paper reports for P-BwTree.
 var ExpectedRaces = []string{"BwTreeBase.epoch"}
 
-// deltaLayout is one delta record: an insert/update/delete published by
-// CAS onto a mapping-table slot's chain (the Bw-Tree's defining structure).
-var deltaLayout = pmm.Layout{
-	{Name: "kind", Size: 8}, // 0 = insert/update, 1 = delete
-	{Name: "key", Size: 8},
-	{Name: "value", Size: 8},
-	{Name: "next", Size: 8}, // previous chain head
-}
+// deltaType is one delta record: an insert/update/delete published by CAS
+// onto a mapping-table slot's chain (the Bw-Tree's defining structure).
+var (
+	deltaType = pmm.Compile(pmm.Layout{
+		{Name: "kind", Size: 8}, // 0 = insert/update, 1 = delete
+		{Name: "key", Size: 8},
+		{Name: "value", Size: 8},
+		{Name: "next", Size: 8}, // previous chain head
+	})
+	deltaKind  = deltaType.Ref("kind")
+	deltaKey   = deltaType.Ref("key")
+	deltaValue = deltaType.Ref("value")
+	deltaNext  = deltaType.Ref("next")
+
+	baseType  = pmm.Compile(pmm.Layout{{Name: "epoch", Size: 8}})
+	baseEpoch = baseType.Ref("epoch")
+	slotType  = pmm.Compile(pmm.Layout{{Name: "head", Size: 8}})
+	slotHead  = slotType.Ref("head")
+)
 
 // Delta record kinds.
 const (
@@ -56,8 +67,8 @@ const ConsolidateThreshold = 4
 func NewTree(h *pmm.Heap) *Tree {
 	return &Tree{
 		h:      h,
-		base:   h.AllocStruct("BwTreeBase", pmm.Layout{{Name: "epoch", Size: 8}}),
-		table:  h.AllocArray("mapping_table", pmm.Layout{{Name: "head", Size: 8}}, MappingTableSize),
+		base:   h.AllocStruct("BwTreeBase", baseType),
+		table:  h.AllocArray("mapping_table", slotType, MappingTableSize),
 		deltas: make(map[uint64]pmm.Struct),
 	}
 }
@@ -67,11 +78,11 @@ func slotOf(key uint64) int { return int((key * 0x61C88647) % MappingTableSize) 
 // newDelta allocates and persists a delta record (unreachable until the
 // CAS publishes it).
 func (tr *Tree) newDelta(t *pmm.Thread, kind, key, value, next uint64) uint64 {
-	d := tr.h.AllocStruct("delta", deltaLayout)
-	t.Store64(d.F("kind"), kind)
-	t.Store64(d.F("key"), key)
-	t.Store64(d.F("value"), value)
-	t.Store64(d.F("next"), next)
+	d := tr.h.AllocStruct("delta", deltaType)
+	t.Store64(d.At(deltaKind), kind)
+	t.Store64(d.At(deltaKey), key)
+	t.Store64(d.At(deltaValue), value)
+	t.Store64(d.At(deltaNext), next)
 	t.Persist(d.Base(), d.Size())
 	tr.deltas[uint64(d.Base())] = d
 	return uint64(d.Base())
@@ -96,10 +107,10 @@ func (tr *Tree) deltaAt(addr uint64) (pmm.Struct, bool) {
 
 // publish CAS-installs a delta as the new chain head and persists the head.
 func (tr *Tree) publish(t *pmm.Thread, slot pmm.Struct, old, delta uint64) bool {
-	if !t.CAS64(slot.F("head"), old, delta) {
+	if !t.CAS64(slot.At(slotHead), old, delta) {
 		return false
 	}
-	t.Persist(slot.F("head"), 8)
+	t.Persist(slot.At(slotHead), 8)
 	return true
 }
 
@@ -107,7 +118,7 @@ func (tr *Tree) publish(t *pmm.Thread, slot pmm.Struct, old, delta uint64) bool 
 func (tr *Tree) Insert(t *pmm.Thread, key, value uint64) bool {
 	slot := tr.table.At(slotOf(key))
 	for {
-		head := t.LoadAcquire64(slot.F("head"))
+		head := t.LoadAcquire64(slot.At(slotHead))
 		d := tr.newDelta(t, deltaInsert, key, value, head)
 		if tr.publish(t, slot, head, d) {
 			tr.maybeConsolidate(t, slot)
@@ -124,7 +135,7 @@ func (tr *Tree) Delete(t *pmm.Thread, key uint64) bool {
 	}
 	slot := tr.table.At(slotOf(key))
 	for {
-		head := t.LoadAcquire64(slot.F("head"))
+		head := t.LoadAcquire64(slot.At(slotHead))
 		d := tr.newDelta(t, deltaDelete, key, 0, head)
 		if tr.publish(t, slot, head, d) {
 			return true
@@ -137,19 +148,19 @@ func (tr *Tree) Delete(t *pmm.Thread, key uint64) bool {
 // wins (newest first).
 func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	slot := tr.table.At(slotOf(key))
-	cur := t.LoadAcquire64(slot.F("head"))
+	cur := t.LoadAcquire64(slot.At(slotHead))
 	for hops := 0; cur != 0 && hops < 1024; hops++ {
 		d, ok := tr.deltaAt(cur)
 		if !ok {
 			return 0, false
 		}
-		if t.LoadAcquire64(d.F("key")) == key {
-			if t.LoadAcquire64(d.F("kind")) == deltaDelete {
+		if t.LoadAcquire64(d.At(deltaKey)) == key {
+			if t.LoadAcquire64(d.At(deltaKind)) == deltaDelete {
 				return 0, false
 			}
-			return t.LoadAcquire64(d.F("value")), true
+			return t.LoadAcquire64(d.At(deltaValue)), true
 		}
-		cur = t.LoadAcquire64(d.F("next"))
+		cur = t.LoadAcquire64(d.At(deltaNext))
 	}
 	return 0, false
 }
@@ -159,7 +170,7 @@ func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 // the old chain is swapped out with one CAS — the Bw-Tree consolidation
 // protocol, crash safe by construction.
 func (tr *Tree) maybeConsolidate(t *pmm.Thread, slot pmm.Struct) {
-	head := t.LoadAcquire64(slot.F("head"))
+	head := t.LoadAcquire64(slot.At(slotHead))
 	// Measure the chain and collect the live bindings (newest first wins).
 	type kv struct{ k, v uint64 }
 	var live []kv
@@ -170,14 +181,14 @@ func (tr *Tree) maybeConsolidate(t *pmm.Thread, slot pmm.Struct) {
 		if !ok {
 			break
 		}
-		k := t.LoadAcquire64(d.F("key"))
+		k := t.LoadAcquire64(d.At(deltaKey))
 		if !seen[k] {
 			seen[k] = true
-			if t.LoadAcquire64(d.F("kind")) == deltaInsert {
-				live = append(live, kv{k, t.LoadAcquire64(d.F("value"))})
+			if t.LoadAcquire64(d.At(deltaKind)) == deltaInsert {
+				live = append(live, kv{k, t.LoadAcquire64(d.At(deltaValue))})
 			}
 		}
-		cur = t.LoadAcquire64(d.F("next"))
+		cur = t.LoadAcquire64(d.At(deltaNext))
 	}
 	if length < ConsolidateThreshold {
 		return
@@ -195,14 +206,14 @@ func (tr *Tree) maybeConsolidate(t *pmm.Thread, slot pmm.Struct) {
 // AdvanceEpoch is the epoch manager's tick — bug #16: a plain store to the
 // shared epoch counter, flushed afterwards.
 func (tr *Tree) AdvanceEpoch(t *pmm.Thread) {
-	e := t.Load64(tr.base.F("epoch"))
-	t.Store64(tr.base.F("epoch"), e+1)
-	t.CLFlush(tr.base.F("epoch"))
+	e := t.Load64(tr.base.At(baseEpoch))
+	t.Store64(tr.base.At(baseEpoch), e+1)
+	t.CLFlush(tr.base.At(baseEpoch))
 	t.SFence()
 }
 
 // Epoch reads the epoch counter — the race-observing load.
-func (tr *Tree) Epoch(t *pmm.Thread) uint64 { return t.Load64(tr.base.F("epoch")) }
+func (tr *Tree) Epoch(t *pmm.Thread) uint64 { return t.Load64(tr.base.At(baseEpoch)) }
 
 // Stats captures what recovery observed.
 type Stats struct {

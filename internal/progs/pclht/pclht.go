@@ -33,16 +33,22 @@ type Table struct {
 	overflow map[uint64]pmm.Struct
 }
 
-var bucketLayout = pmm.Layout{
-	{Name: "lock", Size: 8},
-	{Name: "key0", Size: 8}, {Name: "key1", Size: 8}, {Name: "key2", Size: 8},
-	{Name: "val0", Size: 8}, {Name: "val1", Size: 8}, {Name: "val2", Size: 8},
-	{Name: "next", Size: 8}, // overflow chain (atomic publication)
-}
+var (
+	bucketType = pmm.Compile(pmm.Layout{
+		{Name: "lock", Size: 8},
+		{Name: "key0", Size: 8}, {Name: "key1", Size: 8}, {Name: "key2", Size: 8},
+		{Name: "val0", Size: 8}, {Name: "val1", Size: 8}, {Name: "val2", Size: 8},
+		{Name: "next", Size: 8}, // overflow chain (atomic publication)
+	})
+	bucketLock = bucketType.Ref("lock")
+	bucketNext = bucketType.Ref("next")
+	bucketKeys = [EntriesPerSlot]pmm.FieldRef{bucketType.Ref("key0"), bucketType.Ref("key1"), bucketType.Ref("key2")}
+	bucketVals = [EntriesPerSlot]pmm.FieldRef{bucketType.Ref("val0"), bucketType.Ref("val1"), bucketType.Ref("val2")}
+)
 
 // NewTable allocates the bucket array.
 func NewTable(h *pmm.Heap) *Table {
-	return &Table{h: h, buckets: h.AllocArray("bucket_t", bucketLayout, NumBuckets), overflow: make(map[uint64]pmm.Struct)}
+	return &Table{h: h, buckets: h.AllocArray("bucket_t", bucketType, NumBuckets), overflow: make(map[uint64]pmm.Struct)}
 }
 
 // nextBucket follows an overflow link (atomic load). The overflow map is
@@ -50,7 +56,7 @@ func NewTable(h *pmm.Heap) *Table {
 // only Setup-time entries) the bucket is reattached from the heap itself,
 // mirroring how recovery code casts a mapped PM offset back to bucket_t*.
 func (tb *Table) nextBucket(t *pmm.Thread, b pmm.Struct) (pmm.Struct, bool) {
-	addr := t.LoadAcquire64(b.F("next"))
+	addr := t.LoadAcquire64(b.At(bucketNext))
 	if addr == 0 {
 		return pmm.Struct{}, false
 	}
@@ -68,25 +74,22 @@ func (tb *Table) nextBucket(t *pmm.Thread, b pmm.Struct) (pmm.Struct, bool) {
 // addOverflow allocates, persists and atomically publishes a fresh overflow
 // bucket behind b.
 func (tb *Table) addOverflow(t *pmm.Thread, b pmm.Struct) pmm.Struct {
-	ob := tb.h.AllocStruct("bucket_t", bucketLayout)
+	ob := tb.h.AllocStruct("bucket_t", bucketType)
 	t.Persist(ob.Base(), ob.Size())
 	tb.overflow[uint64(ob.Base())] = ob
-	t.StoreRelease64(b.F("next"), uint64(ob.Base()))
-	t.Persist(b.F("next"), 8)
+	t.StoreRelease64(b.At(bucketNext), uint64(ob.Base()))
+	t.Persist(b.At(bucketNext), 8)
 	return ob
 }
 
 func bucketOf(key uint64) int { return int((key * 0x2545F4914F6CDD1D) % NumBuckets) }
-
-func keyField(i int) string { return []string{"key0", "key1", "key2"}[i] }
-func valField(i int) string { return []string{"val0", "val1", "val2"}[i] }
 
 // Put inserts or updates a key. The bucket lock is a CAS spinlock; the key
 // and value stores are atomic release stores (the volatile fields of the
 // original), then persisted with clwb+sfence before the slot is published.
 func (tb *Table) Put(t *pmm.Thread, key, value uint64) bool {
 	b := tb.buckets.At(bucketOf(key))
-	lock := b.F("lock")
+	lock := b.At(bucketLock)
 	for !t.CAS64(lock, lockFree, lockHeld) {
 		t.Yield()
 	}
@@ -97,10 +100,10 @@ func (tb *Table) Put(t *pmm.Thread, key, value uint64) bool {
 	for {
 		free := -1
 		for i := 0; i < EntriesPerSlot; i++ {
-			k := t.LoadAcquire64(cur.F(keyField(i)))
+			k := t.LoadAcquire64(cur.At(bucketKeys[i]))
 			if k == key {
-				t.StoreRelease64(cur.F(valField(i)), value)
-				t.Persist(cur.F(valField(i)), 8)
+				t.StoreRelease64(cur.At(bucketVals[i]), value)
+				t.Persist(cur.At(bucketVals[i]), 8)
 				return true
 			}
 			if k == 0 && free < 0 {
@@ -112,10 +115,10 @@ func (tb *Table) Put(t *pmm.Thread, key, value uint64) bool {
 			// persist: the atomic publication means a post-crash reader
 			// that sees the key also gets coherence protection for the
 			// value.
-			t.StoreRelease64(cur.F(valField(free)), value)
-			t.Persist(cur.F(valField(free)), 8)
-			t.StoreRelease64(cur.F(keyField(free)), key)
-			t.Persist(cur.F(keyField(free)), 8)
+			t.StoreRelease64(cur.At(bucketVals[free]), value)
+			t.Persist(cur.At(bucketVals[free]), 8)
+			t.StoreRelease64(cur.At(bucketKeys[free]), key)
+			t.Persist(cur.At(bucketKeys[free]), 8)
 			return true
 		}
 		next, ok := tb.nextBucket(t, cur)
@@ -131,8 +134,8 @@ func (tb *Table) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	cur := tb.buckets.At(bucketOf(key))
 	for {
 		for i := 0; i < EntriesPerSlot; i++ {
-			if t.LoadAcquire64(cur.F(keyField(i))) == key {
-				return t.LoadAcquire64(cur.F(valField(i))), true
+			if t.LoadAcquire64(cur.At(bucketKeys[i])) == key {
+				return t.LoadAcquire64(cur.At(bucketVals[i])), true
 			}
 		}
 		next, ok := tb.nextBucket(t, cur)
@@ -146,7 +149,7 @@ func (tb *Table) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 // Remove deletes a key under the bucket lock.
 func (tb *Table) Remove(t *pmm.Thread, key uint64) bool {
 	b := tb.buckets.At(bucketOf(key))
-	lock := b.F("lock")
+	lock := b.At(bucketLock)
 	for !t.CAS64(lock, lockFree, lockHeld) {
 		t.Yield()
 	}
@@ -156,9 +159,9 @@ func (tb *Table) Remove(t *pmm.Thread, key uint64) bool {
 	cur := b
 	for {
 		for i := 0; i < EntriesPerSlot; i++ {
-			if t.LoadAcquire64(cur.F(keyField(i))) == key {
-				t.StoreRelease64(cur.F(keyField(i)), 0)
-				t.Persist(cur.F(keyField(i)), 8)
+			if t.LoadAcquire64(cur.At(bucketKeys[i])) == key {
+				t.StoreRelease64(cur.At(bucketKeys[i]), 0)
+				t.Persist(cur.At(bucketKeys[i]), 8)
 				return true
 			}
 		}

@@ -15,7 +15,7 @@
 package pmasstree
 
 import (
-	"fmt"
+	"strconv"
 
 	"yashme/internal/pmm"
 )
@@ -62,17 +62,34 @@ type leaf struct {
 	s pmm.Struct
 }
 
-var leafLayout = func() pmm.Layout {
+var leafType = func() *pmm.Type {
 	l := pmm.Layout{
 		{Name: "permutation", Size: 8},
 		{Name: "next", Size: 8},
 	}
 	for i := 0; i < LeafWidth; i++ {
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("key%d", i), Size: 8})
-		l = append(l, pmm.FieldDef{Name: fmt.Sprintf("val%d", i), Size: 8})
+		l = append(l, pmm.FieldDef{Name: "key" + strconv.Itoa(i), Size: 8})
+		l = append(l, pmm.FieldDef{Name: "val" + strconv.Itoa(i), Size: 8})
 	}
-	return l
+	return pmm.Compile(l)
 }()
+
+// Field refs of leafnode (key/value slots indexed) and of masstree.
+var (
+	leafPerm     = leafType.Ref("permutation")
+	leafNext     = leafType.Ref("next")
+	leafKey      [LeafWidth]pmm.FieldRef
+	leafVal      [LeafWidth]pmm.FieldRef
+	masstreeType = pmm.Compile(pmm.Layout{{Name: "root_", Size: 8}})
+	masstreeRoot = masstreeType.Ref("root_")
+)
+
+func init() {
+	for i := range leafKey {
+		leafKey[i] = leafType.Ref("key" + strconv.Itoa(i))
+		leafVal[i] = leafType.Ref("val" + strconv.Itoa(i))
+	}
+}
 
 // Tree is a P-Masstree instance: a linked list of B+-style leaves reached
 // from the root_ pointer (single layer of the trie, which is where all
@@ -88,10 +105,10 @@ type Tree struct {
 
 // NewTree allocates the masstree struct and an empty root leaf.
 func NewTree(h *pmm.Heap) *Tree {
-	tr := &Tree{h: h, mt: h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
-	l := &leaf{s: h.AllocStruct("leafnode", leafLayout)}
+	tr := &Tree{h: h, mt: h.AllocStruct("masstree", masstreeType), leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
+	l := &leaf{s: h.AllocStruct("leafnode", leafType)}
 	tr.leaves[uint64(l.s.Base())] = l
-	h.Init(tr.mt.F("root_"), 8, uint64(l.s.Base()))
+	h.Init(tr.mt.At(masstreeRoot), 8, uint64(l.s.Base()))
 	return tr
 }
 
@@ -119,9 +136,9 @@ func (tr *Tree) leafAt(addr uint64) *leaf {
 // newLeafRuntime allocates a leaf during execution; construction-time
 // stores are flushed before publication.
 func (tr *Tree) newLeafRuntime(t *pmm.Thread) *leaf {
-	l := &leaf{s: tr.h.AllocStruct("leafnode", leafLayout)}
-	t.Store64(l.s.F("permutation"), 0)
-	t.Store64(l.s.F("next"), 0)
+	l := &leaf{s: tr.h.AllocStruct("leafnode", leafType)}
+	t.Store64(l.s.At(leafPerm), 0)
+	t.Store64(l.s.At(leafNext), 0)
 	t.FlushRange(l.s.Base(), l.s.Size())
 	t.SFence()
 	tr.leaves[uint64(l.s.Base())] = l
@@ -131,17 +148,17 @@ func (tr *Tree) newLeafRuntime(t *pmm.Thread) *leaf {
 // findLeaf walks the leaf chain to the leaf that should hold key.
 func (tr *Tree) findLeaf(t *pmm.Thread, key uint64) *leaf {
 	// Bug #17's observing load: the plain root_ read.
-	l := tr.leafAt(t.Load64(tr.mt.F("root_")))
+	l := tr.leafAt(t.Load64(tr.mt.At(masstreeRoot)))
 	for l != nil {
-		nextAddr := t.Load64(l.s.F("next")) // bug #19's observing load
+		nextAddr := t.Load64(l.s.At(leafNext)) // bug #19's observing load
 		next := tr.leafAt(nextAddr)
 		if next == nil {
 			return l
 		}
 		// Keys migrate right on split; go right while the next leaf's
 		// smallest key is <= key.
-		np := t.Load64(next.s.F("permutation"))
-		if permCount(np) == 0 || t.Load64(next.s.F(fmt.Sprintf("key%d", permSlot(np, 0)))) > key {
+		np := t.Load64(next.s.At(leafPerm))
+		if permCount(np) == 0 || t.Load64(next.s.At(leafKey[permSlot(np, 0)])) > key {
 			return l
 		}
 		l = next
@@ -153,75 +170,75 @@ func (tr *Tree) findLeaf(t *pmm.Thread, key uint64) *leaf {
 // plain permutation store (bug #18), splitting full leaves (bugs #17/#19).
 func (tr *Tree) Insert(t *pmm.Thread, key, value uint64) {
 	l := tr.findLeaf(t, key)
-	p := t.Load64(l.s.F("permutation"))
+	p := t.Load64(l.s.At(leafPerm))
 	cnt := permCount(p)
 	if cnt >= LeafWidth {
 		l = tr.split(t, l, key)
-		p = t.Load64(l.s.F("permutation"))
+		p = t.Load64(l.s.At(leafPerm))
 		cnt = permCount(p)
 	}
 	slot := freeSlot(p)
-	t.Store64(l.s.F(fmt.Sprintf("key%d", slot)), key)
-	t.Store64(l.s.F(fmt.Sprintf("val%d", slot)), value)
-	t.FlushRange(l.s.F(fmt.Sprintf("key%d", slot)), 16)
+	t.Store64(l.s.At(leafKey[slot]), key)
+	t.Store64(l.s.At(leafVal[slot]), value)
+	t.FlushRange(l.s.At(leafKey[slot]), 16)
 	t.SFence()
 	// Rank of the new key in sorted order.
 	rank := 0
 	for ; rank < cnt; rank++ {
-		if t.Load64(l.s.F(fmt.Sprintf("key%d", permSlot(p, rank)))) > key {
+		if t.Load64(l.s.At(leafKey[permSlot(p, rank)])) > key {
 			break
 		}
 	}
 	// Bug #18: the plain permutation store is the commit point.
-	t.Store64(l.s.F("permutation"), permInsert(p, rank, slot, cnt))
-	t.CLFlush(l.s.F("permutation"))
+	t.Store64(l.s.At(leafPerm), permInsert(p, rank, slot, cnt))
+	t.CLFlush(l.s.At(leafPerm))
 	t.SFence()
 }
 
 // split moves the upper half of l into a new right sibling and links it in.
 func (tr *Tree) split(t *pmm.Thread, l *leaf, key uint64) *leaf {
 	right := tr.newLeafRuntime(t)
-	p := t.Load64(l.s.F("permutation"))
+	p := t.Load64(l.s.At(leafPerm))
 	half := LeafWidth / 2
 	var rp uint64
 	for rank := half; rank < permCount(p); rank++ {
 		slot := permSlot(p, rank)
 		dst := rank - half
-		t.Store64(right.s.F(fmt.Sprintf("key%d", dst)), t.Load64(l.s.F(fmt.Sprintf("key%d", slot))))
-		t.Store64(right.s.F(fmt.Sprintf("val%d", dst)), t.Load64(l.s.F(fmt.Sprintf("val%d", slot))))
+		t.Store64(right.s.At(leafKey[dst]), t.Load64(l.s.At(leafKey[slot])))
+		t.Store64(right.s.At(leafVal[dst]), t.Load64(l.s.At(leafVal[slot])))
 		rp = permInsert(rp, dst, dst, dst)
 	}
-	t.Store64(right.s.F("permutation"), rp)
-	t.Store64(right.s.F("next"), t.Load64(l.s.F("next")))
+	t.Store64(right.s.At(leafPerm), rp)
+	t.Store64(right.s.At(leafNext), t.Load64(l.s.At(leafNext)))
 	t.FlushRange(right.s.Base(), right.s.Size())
 	t.SFence()
 
 	// Bug #19: plain next-pointer publication in the already-reachable leaf.
-	t.Store64(l.s.F("next"), uint64(right.s.Base()))
-	t.CLFlush(l.s.F("next"))
+	t.Store64(l.s.At(leafNext), uint64(right.s.Base()))
+	t.CLFlush(l.s.At(leafNext))
 	// Shrink the left leaf: keep the low half of the permutation.
 	var lp uint64
 	for rank := 0; rank < half; rank++ {
 		slot := permSlot(p, rank)
 		lp = permInsert(lp, rank, slot, rank)
 	}
-	t.Store64(l.s.F("permutation"), lp)
-	t.CLFlush(l.s.F("permutation"))
+	t.Store64(l.s.At(leafPerm), lp)
+	t.CLFlush(l.s.At(leafPerm))
 	t.SFence()
 
 	// Bug #17: if the split leaf was the root, replace root_ with a plain
 	// store (the original swings root_ to a new interior node; the race is
 	// on the root_ store itself, which our flat layer preserves).
-	if t.Load64(tr.mt.F("root_")) == uint64(l.s.Base()) {
-		firstKey := t.Load64(l.s.F(fmt.Sprintf("key%d", permSlot(lp, 0))))
+	if t.Load64(tr.mt.At(masstreeRoot)) == uint64(l.s.Base()) {
+		firstKey := t.Load64(l.s.At(leafKey[permSlot(lp, 0)]))
 		_ = firstKey
-		t.Store64(tr.mt.F("root_"), uint64(l.s.Base())) // re-anchor (leftmost leaf stays the entry)
-		t.CLFlush(tr.mt.F("root_"))
+		t.Store64(tr.mt.At(masstreeRoot), uint64(l.s.Base())) // re-anchor (leftmost leaf stays the entry)
+		t.CLFlush(tr.mt.At(masstreeRoot))
 		t.SFence()
 	}
 
 	// Continue the insert in whichever leaf now covers key.
-	rFirst := t.Load64(right.s.F(fmt.Sprintf("key%d", permSlot(rp, 0))))
+	rFirst := t.Load64(right.s.At(leafKey[permSlot(rp, 0)]))
 	if key >= rFirst {
 		return right
 	}
@@ -234,15 +251,15 @@ func (tr *Tree) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	if l == nil {
 		return 0, false
 	}
-	p := t.Load64(l.s.F("permutation"))
+	p := t.Load64(l.s.At(leafPerm))
 	cnt := permCount(p)
 	if cnt > LeafWidth {
 		cnt = LeafWidth // defensive clamp against torn permutation words
 	}
 	for rank := 0; rank < cnt; rank++ {
 		slot := permSlot(p, rank)
-		if t.Load64(l.s.F(fmt.Sprintf("key%d", slot))) == key {
-			return t.Load64(l.s.F(fmt.Sprintf("val%d", slot))), true
+		if t.Load64(l.s.At(leafKey[slot])) == key {
+			return t.Load64(l.s.At(leafVal[slot])), true
 		}
 	}
 	return 0, false
@@ -297,10 +314,10 @@ func New(numKeys int, stats *Stats) func() pmm.Program {
 // The new layer's structures are flushed before the slot that publishes
 // them, so layer creation introduces no new racy fields.
 func (tr *Tree) newSubTree(t *pmm.Thread) *Tree {
-	sub := &Tree{h: tr.h, mt: tr.h.AllocStruct("masstree", pmm.Layout{{Name: "root_", Size: 8}}), leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
+	sub := &Tree{h: tr.h, mt: tr.h.AllocStruct("masstree", masstreeType), leaves: make(map[uint64]*leaf), layers: make(map[uint64]*Tree)}
 	l := sub.newLeafRuntime(t)
-	t.Store64(sub.mt.F("root_"), uint64(l.s.Base()))
-	t.Persist(sub.mt.F("root_"), 8)
+	t.Store64(sub.mt.At(masstreeRoot), uint64(l.s.Base()))
+	t.Persist(sub.mt.At(masstreeRoot), 8)
 	return sub
 }
 

@@ -25,6 +25,13 @@ var ExpectedBenign = []string{
 	"ulog_entry.value",
 }
 
+var (
+	entryType  = pmm.Compile(pmm.Layout{{Name: "key", Size: 8}, {Name: "value", Size: 8}, {Name: "used", Size: 8}})
+	entryKey   = entryType.Ref("key")
+	entryValue = entryType.Ref("value")
+	entryUsed  = entryType.Ref("used")
+)
+
 // Server is a miniature pmem-Redis: a dictionary of key/value slots whose
 // mutations run through PMDK transactions.
 type Server struct {
@@ -36,9 +43,7 @@ type Server struct {
 func NewServer(p *pmdk.Pool) *Server {
 	return &Server{
 		pool: p,
-		dict: p.Heap().AllocArray("dictEntry", pmm.Layout{
-			{Name: "key", Size: 8}, {Name: "value", Size: 8}, {Name: "used", Size: 8},
-		}, DictSize),
+		dict: p.Heap().AllocArray("dictEntry", entryType, DictSize),
 	}
 }
 
@@ -48,14 +53,14 @@ func slotOf(key uint64) int { return int((key * 0x9E3779B97F4A7C15) % DictSize) 
 func (s *Server) Set(t *pmm.Thread, key, value uint64) bool {
 	for probe := 0; probe < DictSize; probe++ {
 		e := s.dict.At((slotOf(key) + probe) % DictSize)
-		used := t.Load64(e.F("used"))
-		if used == 1 && t.Load64(e.F("key")) != key {
+		used := t.Load64(e.At(entryUsed))
+		if used == 1 && t.Load64(e.At(entryKey)) != key {
 			continue
 		}
 		tx := s.pool.TxBegin(t)
-		tx.Set(e.F("key"), key)
-		tx.Set(e.F("value"), value)
-		tx.Set(e.F("used"), 1)
+		tx.Set(e.At(entryKey), key)
+		tx.Set(e.At(entryValue), value)
+		tx.Set(e.At(entryUsed), 1)
 		tx.Commit()
 		return true
 	}
@@ -66,11 +71,11 @@ func (s *Server) Set(t *pmm.Thread, key, value uint64) bool {
 func (s *Server) Get(t *pmm.Thread, key uint64) (uint64, bool) {
 	for probe := 0; probe < DictSize; probe++ {
 		e := s.dict.At((slotOf(key) + probe) % DictSize)
-		if t.Load64(e.F("used")) != 1 {
+		if t.Load64(e.At(entryUsed)) != 1 {
 			return 0, false
 		}
-		if t.Load64(e.F("key")) == key {
-			return t.Load64(e.F("value")), true
+		if t.Load64(e.At(entryKey)) == key {
+			return t.Load64(e.At(entryValue)), true
 		}
 	}
 	return 0, false

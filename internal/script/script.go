@@ -22,7 +22,8 @@
 // load / loadacq ADDR; cas ADDR OLD NEW; clflush / clwb / clflushopt ADDR;
 // sfence; mfence; persist ADDR; memset NAME BYTE; yield;
 // guard { ... } (checksum-validation reads). ADDR is name.field or
-// name[idx].field; VALUE is decimal or 0x-hex.
+// name[idx].field; VALUE is decimal or 0x-hex. Field names are unique
+// within an object, and one alloc or array spans at most 1 MiB.
 package script
 
 import (
@@ -46,6 +47,7 @@ type allocDecl struct {
 	name   string
 	count  int // 0 = plain struct
 	layout pmm.Layout
+	typ    *pmm.Type // layout compiled once per parse
 	line   int
 }
 
@@ -59,19 +61,17 @@ type addrRef struct {
 	obj   string
 	index int // -1 = not an array access
 	field string
-}
-
-func (r addrRef) String() string {
-	if r.index >= 0 {
-		return fmt.Sprintf("%s[%d].%s", r.obj, r.index, r.field)
-	}
-	return r.obj + "." + r.field
+	// Resolved by validate: the object's position in Script.allocs and
+	// the field's handle in its type.
+	decl int
+	ref  pmm.FieldRef
 }
 
 type stmt struct {
 	op   string
 	addr addrRef
 	obj  string // for memset
+	decl int    // for memset: obj's position in Script.allocs
 	args []uint64
 	line int
 	// guard marks statements inside a guard block.
@@ -172,6 +172,11 @@ func Parse(src string) (*Script, error) {
 	return sc, nil
 }
 
+// maxObjectBytes bounds one allocation. The simulator indexes its per-address
+// state densely by address, so a script object's size is memory the
+// engine may have to back; it also keeps count × stride from overflowing.
+const maxObjectBytes = 1 << 20
+
 func parseAlloc(fields []string, n int) (allocDecl, error) {
 	decl := allocDecl{line: n}
 	idx := 1
@@ -193,6 +198,7 @@ func parseAlloc(fields []string, n int) (allocDecl, error) {
 		decl.name = fields[1]
 		idx = 2
 	}
+	seen := map[string]bool{}
 	for _, f := range fields[idx:] {
 		parts := strings.SplitN(f, ":", 2)
 		if len(parts) != 2 {
@@ -207,7 +213,15 @@ func parseAlloc(fields []string, n int) (allocDecl, error) {
 		default:
 			return decl, errf(n, "field size must be 1, 2, 4 or 8 (got %d)", size)
 		}
+		if seen[parts[0]] {
+			return decl, errf(n, "duplicate field %q", parts[0])
+		}
+		seen[parts[0]] = true
 		decl.layout = append(decl.layout, pmm.FieldDef{Name: parts[0], Size: size})
+	}
+	decl.typ = pmm.Compile(decl.layout)
+	if max(decl.count, 1) > maxObjectBytes/decl.typ.Size() {
+		return decl, errf(n, "%q spans more than %d bytes", decl.name, maxObjectBytes)
 	}
 	return decl, nil
 }
@@ -308,23 +322,25 @@ func parseStmt(fields []string, n int) (stmt, error) {
 	return st, errf(n, "unknown operation %q", st.op)
 }
 
-// validate checks that every referenced object and field exists.
+// validate checks that every referenced object and field exists and
+// resolves each reference to its allocation and field handle.
 func (sc *Script) validate() error {
 	if len(sc.threads) == 0 {
 		return errf(0, "no thread block")
 	}
-	decls := map[string]allocDecl{}
-	for _, d := range sc.allocs {
+	decls := map[string]int{}
+	for i, d := range sc.allocs {
 		if _, dup := decls[d.name]; dup {
 			return errf(d.line, "duplicate allocation %q", d.name)
 		}
-		decls[d.name] = d
+		decls[d.name] = i
 	}
-	checkRef := func(ref addrRef, line int) error {
-		d, ok := decls[ref.obj]
+	checkRef := func(ref *addrRef, line int) error {
+		i, ok := decls[ref.obj]
 		if !ok {
 			return errf(line, "unknown object %q", ref.obj)
 		}
+		d := sc.allocs[i]
 		if ref.index >= 0 && (d.count == 0 || ref.index >= d.count) {
 			return errf(line, "index %d out of range for %q", ref.index, ref.obj)
 		}
@@ -333,27 +349,31 @@ func (sc *Script) validate() error {
 		}
 		for _, f := range d.layout {
 			if f.Name == ref.field {
+				ref.decl, ref.ref = i, d.typ.Ref(f.Name)
 				return nil
 			}
 		}
 		return errf(line, "object %q has no field %q", ref.obj, ref.field)
 	}
-	for _, ini := range sc.inits {
-		if err := checkRef(ini.ref, ini.line); err != nil {
+	for i := range sc.inits {
+		if err := checkRef(&sc.inits[i].ref, sc.inits[i].line); err != nil {
 			return err
 		}
 	}
 	for _, blocks := range [][][]stmt{sc.threads, sc.post} {
 		for _, block := range blocks {
-			for _, st := range block {
+			for j := range block {
+				st := &block[j]
 				if st.obj != "" {
-					if _, ok := decls[st.obj]; !ok {
+					i, ok := decls[st.obj]
+					if !ok {
 						return errf(st.line, "unknown object %q", st.obj)
 					}
+					st.decl = i
 					continue
 				}
 				if st.addr.obj != "" {
-					if err := checkRef(st.addr, st.line); err != nil {
+					if err := checkRef(&st.addr, st.line); err != nil {
 						return err
 					}
 				}
@@ -363,29 +383,45 @@ func (sc *Script) validate() error {
 	return nil
 }
 
+// objects are one program instance's allocation handles, indexed like
+// Script.allocs: structs holds the plain structs, arrays the arrays.
+type objects struct {
+	structs []pmm.Struct
+	arrays  []pmm.Array
+}
+
+// addr returns the address and size of a resolved reference.
+func (o *objects) addr(r addrRef) (pmm.Addr, int) {
+	s := o.structs[r.decl]
+	if r.index >= 0 {
+		s = o.arrays[r.decl].At(r.index)
+	}
+	return s.At(r.ref), r.ref.Size()
+}
+
+// span returns the base address and byte size of allocation i.
+func (o *objects) span(i int) (pmm.Addr, int) {
+	if a := o.arrays[i]; a.Len() > 0 {
+		return a.Base(), a.Stride() * a.Len()
+	}
+	return o.structs[i].Base(), o.structs[i].Size()
+}
+
 // MakeProgram returns the engine-compatible constructor.
 func (sc *Script) MakeProgram() func() pmm.Program {
 	return func() pmm.Program {
-		structs := map[string]pmm.Struct{}
-		arrays := map[string]pmm.Array{}
-		sizes := map[string]int{}
-		resolve := func(ref addrRef) (pmm.Addr, int) {
-			var s pmm.Struct
-			if ref.index >= 0 {
-				s = arrays[ref.obj].At(ref.index)
-			} else {
-				s = structs[ref.obj]
-			}
-			return s.Field(ref.field)
+		objs := &objects{
+			structs: make([]pmm.Struct, len(sc.allocs)),
+			arrays:  make([]pmm.Array, len(sc.allocs)),
 		}
 		run := func(block []stmt) func(*pmm.Thread) {
 			return func(t *pmm.Thread) {
-				for _, st := range block {
+				for i := range block {
+					st := &block[i]
 					if st.guard {
-						st := st
-						t.ChecksumGuard(func() { sc.exec(t, st, resolve, structs, arrays, sizes) })
+						t.ChecksumGuard(func() { exec(t, st, objs) })
 					} else {
-						sc.exec(t, st, resolve, structs, arrays, sizes)
+						exec(t, st, objs)
 					}
 				}
 			}
@@ -400,23 +436,15 @@ func (sc *Script) MakeProgram() func() pmm.Program {
 		return pmm.Program{
 			Name: sc.Name,
 			Setup: func(h *pmm.Heap) {
-				for _, d := range sc.allocs {
+				for i, d := range sc.allocs {
 					if d.count > 0 {
-						arrays[d.name] = h.AllocArray(d.name, d.layout, d.count)
-						sizes[d.name] = arrays[d.name].Stride() * d.count
+						objs.arrays[i] = h.AllocArray(d.name, d.typ, d.count)
 					} else {
-						structs[d.name] = h.AllocStruct(d.name, d.layout)
-						sizes[d.name] = structs[d.name].Size()
+						objs.structs[i] = h.AllocStruct(d.name, d.typ)
 					}
 				}
 				for _, ini := range sc.inits {
-					var s pmm.Struct
-					if ini.ref.index >= 0 {
-						s = arrays[ini.ref.obj].At(ini.ref.index)
-					} else {
-						s = structs[ini.ref.obj]
-					}
-					addr, size := s.Field(ini.ref.field)
+					addr, size := objs.addr(ini.ref)
 					h.Init(addr, size, ini.val)
 				}
 			},
@@ -426,38 +454,37 @@ func (sc *Script) MakeProgram() func() pmm.Program {
 	}
 }
 
-func (sc *Script) exec(t *pmm.Thread, st stmt, resolve func(addrRef) (pmm.Addr, int),
-	structs map[string]pmm.Struct, arrays map[string]pmm.Array, sizes map[string]int) {
+func exec(t *pmm.Thread, st *stmt, objs *objects) {
 	switch st.op {
 	case "store":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.Store(a, size, st.args[0])
 	case "storerel":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.StoreRelease(a, size, st.args[0])
 	case "storeatomic":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.StoreAtomic(a, size, st.args[0])
 	case "load":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.Load(a, size)
 	case "loadacq":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.LoadAcquire(a, size)
 	case "cas":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.CAS(a, size, st.args[0], st.args[1])
 	case "clflush":
-		a, _ := resolve(st.addr)
+		a, _ := objs.addr(st.addr)
 		t.CLFlush(a)
 	case "clwb":
-		a, _ := resolve(st.addr)
+		a, _ := objs.addr(st.addr)
 		t.CLWB(a)
 	case "clflushopt":
-		a, _ := resolve(st.addr)
+		a, _ := objs.addr(st.addr)
 		t.CLFlushOpt(a)
 	case "persist":
-		a, size := resolve(st.addr)
+		a, size := objs.addr(st.addr)
 		t.Persist(a, size)
 	case "sfence":
 		t.SFence()
@@ -466,12 +493,7 @@ func (sc *Script) exec(t *pmm.Thread, st stmt, resolve func(addrRef) (pmm.Addr, 
 	case "yield":
 		t.Yield()
 	case "memset":
-		var base pmm.Addr
-		if s, ok := structs[st.obj]; ok {
-			base = s.Base()
-		} else {
-			base = arrays[st.obj].Base()
-		}
-		t.Memset(base, sizes[st.obj], byte(st.args[0]))
+		base, size := objs.span(st.decl)
+		t.Memset(base, size, byte(st.args[0]))
 	}
 }

@@ -21,23 +21,7 @@ post
   load pmobj.val
 `
 
-func TestParseAndRunFigure1(t *testing.T) {
-	sc, err := Parse(figure1Src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Name != "figure1" {
-		t.Fatalf("name = %q", sc.Name)
-	}
-	res := engine.Run(sc.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
-	races := res.Report.Races()
-	if len(races) != 1 || races[0].Field != "pmobj.val" {
-		t.Fatalf("races = %v", races)
-	}
-}
-
-func TestArraysAndAllOps(t *testing.T) {
-	src := `
+const allOpsSrc = `
 program allops
 alloc hdr lock:8 count:2 flag:1
 array pairs 4 key:8 value:8
@@ -65,6 +49,82 @@ post
     load pairs[1].value
   }
 `
+
+const multiThreadSrc = `
+program mt
+alloc o x:8 f:8
+thread
+  store o.x 7
+  clflush o.x
+thread
+  storerel o.f 1
+post
+  loadacq o.f
+post
+  load o.x
+`
+
+const commentsSrc = `
+# leading comment
+program c   # trailing comment
+
+alloc o x:8
+
+thread
+  # a comment between statements
+  store o.x 1
+`
+
+const fixedSrc = `
+program fixed
+alloc pmobj val:8
+thread
+  storerel pmobj.val 0x1234567812345678
+  clflush pmobj.val
+post
+  loadacq pmobj.val
+`
+
+// parseErrorCases maps malformed scripts to a substring of their error.
+var parseErrorCases = map[string]string{
+	"store x.y 1":                                      "outside a thread",
+	"program a b":                                      "usage: program",
+	"alloc o":                                          "usage: alloc",
+	"alloc o x:3\nthread\n sfence":                     "size must be",
+	"array a 0 x:8\nthread\n sfence":                   "bad array count",
+	"alloc o x:8\nthread\n store o.y 1":                "no field",
+	"alloc o x:8\nthread\n store q.x 1":                "unknown object",
+	"alloc o x:8\nthread\n store o.x":                  "usage: store",
+	"alloc o x:8\nthread\n frob o.x":                   "unknown operation",
+	"alloc o x:8\nthread\n store o.x zz":               "bad value",
+	"alloc o x:8\nthread\n sfence extra":               "takes no operands",
+	"alloc o x:8\nthread\n guard {":                    "unclosed guard",
+	"alloc o x:8\nthread\n }":                          "unmatched }",
+	"alloc o x:8\ninit o.x 1":                          "no thread block",
+	"array a 2 x:8\nthread\n store a.x 1":              "is an array",
+	"array a 2 x:8\nthread\n store a[5].x 1":           "out of range",
+	"alloc o x:8\nalloc o y:8\nthread\n sfence":        "duplicate allocation",
+	"alloc o x:8 x:4\nthread\n sfence":                 "duplicate field",
+	"array a 2305843009213693952 x:8\nthread\n sfence": "spans more than",
+}
+
+func TestParseAndRunFigure1(t *testing.T) {
+	sc, err := Parse(figure1Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Name != "figure1" {
+		t.Fatalf("name = %q", sc.Name)
+	}
+	res := engine.Run(sc.MakeProgram(), engine.Options{Mode: engine.ModelCheck, Prefix: true})
+	races := res.Report.Races()
+	if len(races) != 1 || races[0].Field != "pmobj.val" {
+		t.Fatalf("races = %v", races)
+	}
+}
+
+func TestArraysAndAllOps(t *testing.T) {
+	src := allOpsSrc
 	sc, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -89,19 +149,7 @@ post
 }
 
 func TestMultiThreadAndMultiPost(t *testing.T) {
-	src := `
-program mt
-alloc o x:8 f:8
-thread
-  store o.x 7
-  clflush o.x
-thread
-  storerel o.f 1
-post
-  loadacq o.f
-post
-  load o.x
-`
+	src := multiThreadSrc
 	sc, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -123,26 +171,7 @@ post
 }
 
 func TestParseErrors(t *testing.T) {
-	cases := map[string]string{
-		"store x.y 1":                               "outside a thread",
-		"program a b":                               "usage: program",
-		"alloc o":                                   "usage: alloc",
-		"alloc o x:3\nthread\n sfence":              "size must be",
-		"array a 0 x:8\nthread\n sfence":            "bad array count",
-		"alloc o x:8\nthread\n store o.y 1":         "no field",
-		"alloc o x:8\nthread\n store q.x 1":         "unknown object",
-		"alloc o x:8\nthread\n store o.x":           "usage: store",
-		"alloc o x:8\nthread\n frob o.x":            "unknown operation",
-		"alloc o x:8\nthread\n store o.x zz":        "bad value",
-		"alloc o x:8\nthread\n sfence extra":        "takes no operands",
-		"alloc o x:8\nthread\n guard {":             "unclosed guard",
-		"alloc o x:8\nthread\n }":                   "unmatched }",
-		"alloc o x:8\ninit o.x 1":                   "no thread block",
-		"array a 2 x:8\nthread\n store a.x 1":       "is an array",
-		"array a 2 x:8\nthread\n store a[5].x 1":    "out of range",
-		"alloc o x:8\nalloc o y:8\nthread\n sfence": "duplicate allocation",
-	}
-	for src, wantErr := range cases {
+	for src, wantErr := range parseErrorCases {
 		_, err := Parse(src)
 		if err == nil {
 			t.Errorf("no error for %q", src)
@@ -166,16 +195,7 @@ func TestParseErrorHasLineNumber(t *testing.T) {
 }
 
 func TestCommentsAndBlanksIgnored(t *testing.T) {
-	src := `
-# leading comment
-program c   # trailing comment
-
-alloc o x:8
-
-thread
-  # a comment between statements
-  store o.x 1
-`
+	src := commentsSrc
 	sc, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -186,15 +206,7 @@ thread
 }
 
 func TestFixedScriptHasNoRaces(t *testing.T) {
-	src := `
-program fixed
-alloc pmobj val:8
-thread
-  storerel pmobj.val 0x1234567812345678
-  clflush pmobj.val
-post
-  loadacq pmobj.val
-`
+	src := fixedSrc
 	sc, err := Parse(src)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func cancelSpec(name string, onWorker func()) workload.Spec {
 			return pmm.Program{
 				Name: name,
 				Setup: func(h *pmm.Heap) {
-					val = h.AllocStruct("o", pmm.Layout{{Name: "v", Size: 8}}).F("v")
+					val = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "v", Size: 8}})).F("v")
 				},
 				Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 					if onWorker != nil {

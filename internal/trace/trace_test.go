@@ -31,7 +31,7 @@ func TestRecorderForwardsAndRecords(t *testing.T) {
 
 func TestRecorderUsesLabeler(t *testing.T) {
 	h := pmm.NewHeap()
-	s := h.AllocStruct("obj", pmm.Layout{{Name: "x", Size: 8}})
+	s := h.AllocStruct("obj", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}}))
 	r := NewRecorder(nil, h.LabelFor)
 	m := tso.NewMachine(r)
 	m.EnqueueStore(0, s.F("x"), 8, 7, false, false)
@@ -131,7 +131,7 @@ func TestRecorderForwardsToInner(t *testing.T) {
 
 type countingListener struct{ stores *int }
 
-func (c countingListener) StoreCommitted(*tso.CommittedStore)                           { *c.stores++ }
+func (c countingListener) StoreCommitted(*tso.CommittedStore)                              { *c.stores++ }
 func (c countingListener) CLFlushCommitted(vclock.TID, pmm.Addr, vclock.Seq, vclock.Stamp) {}
 func (c countingListener) CLWBBuffered(vclock.TID, pmm.Addr, vclock.Stamp)                 {}
 func (c countingListener) CLWBPersisted(tso.FBEntry, vclock.TID, vclock.Seq, vclock.Stamp) {}

@@ -30,7 +30,7 @@ func figure5b() pmm.Program {
 	return pmm.Program{
 		Name: "figure5b",
 		Setup: func(h *pmm.Heap) {
-			x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+			x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 		},
 		Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 			t.Store64(x, 1)
@@ -69,7 +69,7 @@ func TestCrossFailureDetectorFindsUnflushedReads(t *testing.T) {
 		return pmm.Program{
 			Name: "unflushed",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1) // never flushed
@@ -94,7 +94,7 @@ func TestFSMWritebackNeedsFence(t *testing.T) {
 		return pmm.Program{
 			Name: "wb-nofence",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1)
@@ -111,7 +111,7 @@ func TestFSMWritebackNeedsFence(t *testing.T) {
 		return pmm.Program{
 			Name: "wb-fence",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1)
@@ -135,7 +135,7 @@ func TestGuardedReadsSkipped(t *testing.T) {
 		return pmm.Program{
 			Name: "guarded",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.Store64(x, 1)
@@ -188,7 +188,7 @@ func TestAtomicUnpersistedIsCrossFailureOnly(t *testing.T) {
 		return pmm.Program{
 			Name: "atomic-unflushed",
 			Setup: func(h *pmm.Heap) {
-				x = h.AllocStruct("o", pmm.Layout{{Name: "x", Size: 8}}).F("x")
+				x = h.AllocStruct("o", pmm.Compile(pmm.Layout{{Name: "x", Size: 8}})).F("x")
 			},
 			Workers: []func(*pmm.Thread){func(t *pmm.Thread) {
 				t.StoreRelease64(x, 1) // atomic, never flushed

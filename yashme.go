@@ -13,14 +13,18 @@
 // This package is the public facade. A workload is a Program: a Setup
 // function allocating named persistent objects, pre-crash Workers issuing
 // loads/stores/flushes/fences through a Thread, and a PostCrash recovery
-// procedure whose loads are checked for races:
+// procedure whose loads are checked for races. Struct layouts are compiled
+// once into a Type, and fields are addressed through FieldRefs resolved
+// from it:
 //
+//	pmobj := yashme.Compile(yashme.Layout{{Name: "val", Size: 8}})
+//	pmobjVal := pmobj.Ref("val")
 //	mk := func() yashme.Program {
 //		var val yashme.Addr
 //		return yashme.Program{
 //			Name: "figure1",
 //			Setup: func(h *yashme.Heap) {
-//				val = h.AllocStruct("pmobj", yashme.Layout{{Name: "val", Size: 8}}).F("val")
+//				val = h.AllocStruct("pmobj", pmobj).At(pmobjVal)
 //			},
 //			Workers: []func(*yashme.Thread){func(t *yashme.Thread) {
 //				t.Store64(val, 0x1234567812345678)
@@ -60,11 +64,20 @@ type (
 	Layout = pmm.Layout
 	// FieldDef is one field of a Layout.
 	FieldDef = pmm.FieldDef
+	// Type is a compiled Layout; allocations take one.
+	Type = pmm.Type
+	// FieldRef is a field of a Type, resolved once for Struct.At.
+	FieldRef = pmm.FieldRef
 	// Struct is a handle to an allocated struct instance.
 	Struct = pmm.Struct
 	// Array is a handle to an allocated struct array.
 	Array = pmm.Array
 )
+
+// Compile resolves a layout's field offsets and size into the Type that
+// Heap.AllocStruct and Heap.AllocArray take. Compile each layout once,
+// outside Setup (the engine re-runs Setup for every crash scenario).
+func Compile(l Layout) *Type { return pmm.Compile(l) }
 
 // Re-exported engine configuration; see internal/engine.
 type (
